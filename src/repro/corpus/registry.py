@@ -47,7 +47,7 @@ from repro.parallel.pool import RunPolicy
 #: Every engine the corpus replays.  ``batched-pure`` is the
 #: first-class name for the BatchedEngine with the numpy transplant
 #: disabled — the path machines without numpy take implicitly.
-ENGINES = ("tree", "compiled", "batched", "batched-pure")
+ENGINES = ("tree", "batched", "batched-pure")
 
 #: Guard modes every entry is replayed under.
 MODES = ("off", "warn", "strict")
@@ -306,7 +306,7 @@ BUILTIN_ENTRIES: Tuple[CorpusEntry, ...] = (
         name="fuel-exhausted-never-target",
         description=(
             "An unreachable target with a one-step fuel budget: every "
-            "execution exhausts its fuel.  Tree-only — the compiled "
+            "execution exhausts its fuel.  Tree-only — the batched "
             "engines refuse fuel by contract, and warn-mode fuel "
             "truncates executions so warn is not byte-identical to off."
         ),
@@ -358,7 +358,7 @@ BUILTIN_ENTRIES: Tuple[CorpusEntry, ...] = (
         },
         exit_status=2,
         build=_budget_case,
-        engines=("compiled", "batched", "batched-pure"),
+        engines=("batched", "batched-pure"),
         baseline_ok=True,
     ),
     CorpusEntry(

@@ -11,10 +11,10 @@ classifications for every entry, and that the strict/warn/off outcomes
 match the entry's declared expectations.
 
 Warn-mode contract counters are *diagnostics*, not part of the
-cross-engine identity label: compiled engines validate every reachable
+cross-engine identity label: batched engines validate every reachable
 transition eagerly at compile time while the tree walk checks lazily,
 only what the adversary actually schedules — so a mutation parked on a
-never-scheduled transition is counted by the compiled engines and
+never-scheduled transition is counted by the batched engines and
 invisible to the tree, with byte-identical reports either way (the
 differential fuzzer found exactly this asymmetry on its first
 campaign).  Counters still back the ``flagged:<kind>`` expectation
@@ -74,7 +74,7 @@ class Classification:
         """The canonical identity string two cells must share.
 
         ``flagged`` is deliberately excluded: warn-counter coverage is
-        eager on compiled engines and lazy on the tree walk, so the
+        eager on batched engines and lazy on the tree walk, so the
         flagged-kind set is an engine diagnostic, not an observable the
         identity contract ranges over (see the module docstring).
         """

@@ -77,7 +77,7 @@ class ArrowPairContext:
     #: pooled workers enforce identically to ``workers=1``.
     guards: GuardConfig = OFF_CONFIG
     #: The evaluation engine (``repro.statespace.engine``).  Compiled
-    #: and batched flat-array tables ride here, fork-inherited, so
+    #: tables and their flat arrays ride here, fork-inherited, so
     #: workers never recompile or reflatten.  ``None`` means "build a
     #: tree engine lazily" (kept for callers that assemble contexts by
     #: hand).

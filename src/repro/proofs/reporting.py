@@ -5,7 +5,7 @@ the sampling, exact, and time-to-target report paths in
 :mod:`repro.proofs.verifier`: the checkpoint-scope marker for
 outcome-affecting guard settings, root-seed resolution, and the
 ``to_dict`` row shaping for per-pair entries and quarantine records.
-Centralising them here means a report produced by the compiled
+Centralising them here means a report produced by the batched
 state-space engine cannot drift from the tree engine's byte-for-byte —
 both go through the same helpers.
 """
@@ -26,7 +26,7 @@ def guard_scope_suffix(config: GuardConfig) -> str:
     share the unmarked scope; strict mode can quarantine pairs and fuel
     budgets can truncate samples, so either segregates its checkpoints.
     The engine choice is deliberately *not* part of the scope: tree and
-    compiled evaluation produce byte-identical outcomes, so checkpoints
+    batched evaluation produce byte-identical outcomes, so checkpoints
     written under one engine resume cleanly under the other.
     """
     if not config.strict and not config.fuelled:

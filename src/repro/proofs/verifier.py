@@ -264,8 +264,8 @@ def check_arrow_by_sampling(
     quarantined (reported in ``report.quarantined``) while the rest of
     the run completes (see ``docs/contracts.md``).
 
-    ``engine`` selects the evaluation strategy (``tree``, ``compiled``,
-    or ``auto``); ``space_spec`` supplies the compile quotient and
+    ``engine`` selects the evaluation strategy (``tree``, ``batched``,
+    ``batched-pure``, or ``auto``); ``space_spec`` supplies the compile quotient and
     ``state_budget`` the interning cap (see ``docs/statespace.md``).
     Reports are byte-identical across engines.
     """
@@ -464,7 +464,7 @@ def check_arrow_exactly(
     Exponential in ``max_steps`` in the worst case under the tree
     engine; intended for short horizons (the per-phase arrows of the
     Lehmann-Rabin proof) and for small explicit automata in tests.  The
-    compiled engine shares subtrees through the interned space, so it
+    batched engine shares subtrees through the interned space, so it
     handles far deeper horizons at the same exact answers.  ``guards``
     reroutes adversary validation through the contracts layer; with the
     default ``None`` the historical ``checked_choose`` behaviour is

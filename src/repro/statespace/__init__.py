@@ -1,7 +1,7 @@
 """Compile-once state spaces and the engine protocol built on them.
 
 See ``docs/statespace.md`` for the compile pipeline, the
-``--engine {tree,compiled,batched,auto}`` selection rules, the flat
+``--engine {tree,batched,batched-pure,auto}`` selection rules, the flat
 array layout behind the batched engine, and the fallback behaviour
 that keeps reports byte-identical across engines.
 """
@@ -18,7 +18,6 @@ from repro.statespace.compile import (
 from repro.statespace.engine import (
     ENGINE_NAMES,
     BatchedEngine,
-    CompiledEngine,
     Engine,
     TreeEngine,
     build_engine,
@@ -38,7 +37,6 @@ __all__ = [
     "flatten_table",
     "ENGINE_NAMES",
     "BatchedEngine",
-    "CompiledEngine",
     "Engine",
     "TreeEngine",
     "build_engine",

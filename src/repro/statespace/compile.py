@@ -17,7 +17,7 @@ time as a running ``Fraction`` instead of re-deriving it from state
 objects.
 
 Exploration is budgeted: exceeding ``max_states`` raises the typed
-:class:`repro.errors.StateBudgetExceeded` so ``--engine compiled`` can
+:class:`repro.errors.StateBudgetExceeded` so ``--engine batched`` can
 fail loudly while ``--engine auto`` falls back to the tree walk.
 """
 

@@ -7,25 +7,26 @@ all three:
 
 * :class:`TreeEngine` walks the live object graph exactly as the
   library always has (fragments, memoised transitions, policy replay).
-* :class:`CompiledEngine` walks the interned tables of
-  :mod:`repro.statespace.compile` / :mod:`repro.statespace.product`,
-  falling back to an embedded tree engine per adversary when that
+  It is the reference oracle, and the only engine that runs
+  history-dependent (coin-peeking) adversaries.
+* :class:`BatchedEngine` walks the interned tables of
+  :mod:`repro.statespace.compile` / :mod:`repro.statespace.product`
+  flattened into CSR parallel arrays (:mod:`repro.statespace.arrays`),
+  drawing uniforms in blocks — via the numpy state transplant of
+  :mod:`repro.statespace.np_backend` when available, pure python
+  otherwise — and fast-forwarding memoised deterministic runs.  It
+  falls back to an embedded tree engine per adversary when that
   adversary could not be tabulated (history-dependent policies) or when
   a caller needs the final fragment (closure spot checks).
-* :class:`BatchedEngine` walks the same tables flattened into CSR
-  parallel arrays (:mod:`repro.statespace.arrays`), drawing uniforms in
-  blocks — via the numpy state transplant of
-  :mod:`repro.statespace.np_backend` when available, pure python
-  otherwise — and fast-forwarding memoised deterministic runs.
 
-All engines consume the *identical* randomness per sample — one
+Both engines consume the *identical* randomness per sample — one
 uniform draw per step, resolved against float partial sums accumulated
 exactly as ``FiniteDistribution.sample`` accumulates them; the batched
 engine merely fetches those same floats ahead of time — so reports are
 byte-identical whichever engine ran, for every seed, guard mode, and
 worker count.  The factory :func:`build_engine` implements the
-``--engine {tree,compiled,batched,auto}`` selection rules: ``compiled``
-and ``batched`` propagate
+``--engine {tree,batched,batched-pure,auto}`` selection rules:
+``batched`` and ``batched-pure`` propagate
 :class:`~repro.errors.StateBudgetExceeded`, ``auto`` prefers the
 batched engine and silently falls back to the tree walk when the
 compile fails.
@@ -67,7 +68,7 @@ from repro.statespace.product import AdversaryTable, compile_adversary
 #: batched engine with the numpy block filler disabled — the exact path
 #: numpy-less machines take, promoted to a first-class name so the
 #: defect corpus (and users debugging a numpy divergence) can pin it.
-ENGINE_NAMES = ("tree", "compiled", "batched", "batched-pure", "auto")
+ENGINE_NAMES = ("tree", "batched", "batched-pure", "auto")
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -92,7 +93,7 @@ class Engine(abc.ABC):
     the parent's compiled tables and never recompile.
     """
 
-    #: Short strategy label ("tree" / "compiled").
+    #: Short strategy label ("tree" / "batched").
     name: str = ""
 
     @abc.abstractmethod
@@ -107,7 +108,7 @@ class Engine(abc.ABC):
         """One Monte-Carlo sample of the pair's reach-within-time event.
 
         ``want_fragment`` forces a result whose ``final`` fragment is
-        populated (the compiled engine otherwise returns ``final=None``
+        populated (the batched engine otherwise returns ``final=None``
         since it never materialises fragments); callers needing the
         fragment — the execution-closure spot check — set it for that
         sample only, and both engines consume identical randomness
@@ -154,7 +155,7 @@ class TreeEngine(Engine):
         # Bound-free checks use plain reachability: ``EventuallyReach``
         # accepts as soon as the target occurs, never rejects on time,
         # and ``decide_maximal`` rejects halted executions — exactly the
-        # behaviour the compiled samplers implement when their bound is
+        # behaviour the batched samplers implement when their bound is
         # ``None``.
         self._schema = (
             EventuallyReach(target)
@@ -211,232 +212,7 @@ class TreeEngine(Engine):
         return event_probability_bounds(execution, self._schema, max_steps)
 
 
-class CompiledEngine(Engine):
-    """Interned-table evaluation with per-adversary tree fallback."""
-
-    name = "compiled"
-
-    def __init__(
-        self,
-        tree: TreeEngine,
-        tables: Tuple[Optional[AdversaryTable], ...],
-        flags: List[bool],
-    ):
-        self.tree = tree
-        self.tables = tables
-        self.flags = flags
-        self._bound = (
-            None
-            if tree.time_bound is None
-            else as_fraction(tree.time_bound)
-        )
-
-    @property
-    def compiled_adversaries(self) -> int:
-        """How many adversaries were tabulated (rest use the tree)."""
-        return sum(1 for table in self.tables if table is not None)
-
-    def sample(
-        self,
-        adversary_index: int,
-        start_index: int,
-        rng,
-        *,
-        want_fragment: bool = False,
-    ) -> SampleResult:
-        table = self.tables[adversary_index]
-        if table is None or want_fragment:
-            return self.tree.sample(
-                adversary_index, start_index, rng, want_fragment=want_fragment
-            )
-        return self._sample_table(table, table.start_nodes[start_index], rng)
-
-    def _sample_table(self, table: AdversaryTable, node: int, rng):
-        """Mirror of :func:`sample_event` over index tables.
-
-        Same loop structure, same single uniform draw per step resolved
-        against identically accumulated partial sums, same metric
-        increments — only the data representation differs.  Guard
-        checks already ran at compile time and consume nothing here.
-        """
-        bound = self._bound
-        flags = self.flags
-        node_state = table.node_state
-        choice_targets = table.choice_targets
-        choice_cum = table.choice_cum
-        choice_deltas = table.choice_deltas
-        max_steps = self.tree.max_steps
-        obs_on = obs.enabled()
-        elapsed = _ZERO
-        verdict: Optional[bool] = None
-        steps_taken = 0
-        for steps_taken in range(max_steps + 1):
-            if bound is not None and elapsed > bound:
-                verdict = False
-                break
-            if flags[node_state[node]]:
-                verdict = True
-                break
-            if steps_taken == max_steps:
-                break
-            targets = choice_targets[node]
-            if obs_on:
-                obs.incr("adversary.decisions")
-                if targets is None:
-                    obs.incr("adversary.halts")
-            if targets is None:
-                # The adversary halted; ReachWithinTime.decide_maximal
-                # rejects maximal executions that never hit the target.
-                verdict = False
-                break
-            threshold = rng.random()
-            cum = choice_cum[node]
-            index = len(cum) - 1
-            for position, edge in enumerate(cum):
-                if threshold < edge:
-                    index = position
-                    break
-            delta = choice_deltas[node][index]
-            if delta:
-                elapsed = elapsed + delta
-            node = targets[index]
-        result = SampleResult(verdict, steps_taken, None)
-        if obs_on:
-            sampler._record_event_sample(result)
-        return result
-
-    def time_to_target(
-        self, adversary_index: int, start_index: int, rng
-    ) -> Optional[Fraction]:
-        table = self.tables[adversary_index]
-        if table is None:
-            return self.tree.time_to_target(adversary_index, start_index, rng)
-        return self._time_table(table, table.start_nodes[start_index], rng)
-
-    def _time_table(self, table: AdversaryTable, node: int, rng):
-        """Mirror of :func:`sample_time_until` over index tables."""
-        flags = self.flags
-        node_state = table.node_state
-        choice_targets = table.choice_targets
-        choice_cum = table.choice_cum
-        choice_deltas = table.choice_deltas
-        max_steps = self.tree.max_steps
-        obs_on = obs.enabled()
-        if flags[node_state[node]]:
-            if obs_on:
-                sampler._record_time_sample(_ZERO, 0)
-            return _ZERO
-        elapsed = _ZERO
-        reached: Optional[Fraction] = None
-        steps_taken = 0
-        for _ in range(max_steps):
-            targets = choice_targets[node]
-            if obs_on:
-                obs.incr("adversary.decisions")
-                if targets is None:
-                    obs.incr("adversary.halts")
-            if targets is None:
-                break
-            threshold = rng.random()
-            cum = choice_cum[node]
-            index = len(cum) - 1
-            for position, edge in enumerate(cum):
-                if threshold < edge:
-                    index = position
-                    break
-            delta = choice_deltas[node][index]
-            if delta:
-                elapsed = elapsed + delta
-            node = targets[index]
-            steps_taken += 1
-            if flags[node_state[node]]:
-                reached = elapsed
-                break
-        if obs_on:
-            sampler._record_time_sample(reached, steps_taken)
-        return reached
-
-    def exact_reach(
-        self, adversary_index: int, start_index: int, max_steps: int
-    ) -> EventBounds:
-        table = self.tables[adversary_index]
-        if table is None:
-            return self.tree.exact_reach(adversary_index, start_index, max_steps)
-        if max_steps < 0:
-            raise VerificationError("max_steps must be nonnegative")
-        accepted, undecided = self._exact_table(
-            table, table.start_nodes[start_index], max_steps
-        )
-        if obs.enabled():
-            obs.incr("measure.evaluations")
-        return EventBounds(lower=accepted, upper=accepted + undecided)
-
-    def _exact_table(
-        self, table: AdversaryTable, root: int, max_steps: int
-    ) -> Tuple[Fraction, Fraction]:
-        """(accepted, undecided) masses, mirroring the exact tree walk.
-
-        Dynamic programming over (node, elapsed, remaining) with exact
-        ``Fraction`` arithmetic; rational addition is associative, so
-        factoring shared subtrees leaves both masses exactly equal to
-        the per-path sums :func:`event_probability_bounds` computes.
-        The decision order per node mirrors the tree walk: classify
-        (time-reject before target-accept), then adversary halt, then
-        horizon.
-        """
-        bound = self._bound
-        flags = self.flags
-        node_state = table.node_state
-        choice_targets = table.choice_targets
-        choice_weights = table.choice_weights
-        choice_deltas = table.choice_deltas
-        memo = {}
-        stack = [(root, _ZERO, max_steps)]
-        while stack:
-            key = stack[-1]
-            if key in memo:
-                stack.pop()
-                continue
-            node, elapsed, remaining = key
-            if bound is not None and elapsed > bound:
-                memo[key] = (_ZERO, _ZERO)
-                stack.pop()
-                continue
-            if flags[node_state[node]]:
-                memo[key] = (_ONE, _ZERO)
-                stack.pop()
-                continue
-            targets = choice_targets[node]
-            if targets is None:
-                # Maximal execution; decide_maximal rejects.
-                memo[key] = (_ZERO, _ZERO)
-                stack.pop()
-                continue
-            if remaining == 0:
-                memo[key] = (_ZERO, _ONE)
-                stack.pop()
-                continue
-            deltas = choice_deltas[node]
-            children = [
-                (targets[i], elapsed + deltas[i], remaining - 1)
-                for i in range(len(targets))
-            ]
-            missing = [child for child in children if child not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            accepted = _ZERO
-            undecided = _ZERO
-            for weight, child in zip(choice_weights[node], children):
-                child_accepted, child_undecided = memo[child]
-                accepted += weight * child_accepted
-                undecided += weight * child_undecided
-            memo[key] = (accepted, undecided)
-            stack.pop()
-        return memo[(root, _ZERO, max_steps)]
-
-
-class BatchedEngine(CompiledEngine):
+class BatchedEngine(Engine):
     """Flat-array evaluation drawing uniforms in blocks.
 
     The fast path: the per-adversary tables are flattened into the CSR
@@ -445,18 +221,19 @@ class BatchedEngine(CompiledEngine):
     :class:`UniformSource` per ``random.Random``, keyed weakly so
     abandoned streams free their buffers), and memoised deterministic
     runs are fast-forwarded in O(1).  Every consumed uniform is exactly
-    the float the stepwise engines would have drawn at that point —
-    numpy's transplanted twin generator is bit-identical to
+    the float :mod:`repro.execution.sampler` would have drawn at that
+    point — numpy's transplanted twin generator is bit-identical to
     ``rng.random()``, and ``force_pure=True`` pins the pure-python
     filler for reference runs — so verdicts, step counts, and metric
-    totals are byte-identical to :class:`CompiledEngine`.
+    totals are byte-identical to :class:`TreeEngine`.
 
     Sources buffer *ahead* of the underlying python generator, which is
     safe because each stream is private to one (adversary, start) pair
     or one time-measurement task: the harness never draws from the rng
     directly once batched sampling has begun (the one direct use — the
     ``want_fragment`` closure probe — is always a pair's first sample).
-    ``exact_reach`` and all fallbacks are inherited unchanged.
+    Adversaries that did not tabulate (``None`` in ``tables``) and
+    ``want_fragment`` samples go through the embedded ``tree`` engine.
     """
 
     name = "batched"
@@ -469,7 +246,14 @@ class BatchedEngine(CompiledEngine):
         *,
         force_pure: bool = False,
     ):
-        super().__init__(tree, tables, flags)
+        self.tree = tree
+        self.tables = tables
+        self.flags = flags
+        self._bound = (
+            None
+            if tree.time_bound is None
+            else as_fraction(tree.time_bound)
+        )
         self.flat_tables: Tuple[Optional[FlatTable], ...] = tuple(
             flatten_table(table, flags) for table in tables
         )
@@ -485,6 +269,11 @@ class BatchedEngine(CompiledEngine):
             None if flat is None else flat.scale_bound(self._bound)
             for flat in self.flat_tables
         )
+
+    @property
+    def compiled_adversaries(self) -> int:
+        """How many adversaries were tabulated (rest use the tree)."""
+        return sum(1 for table in self.tables if table is not None)
 
     @property
     def flat_nodes(self) -> int:
@@ -515,7 +304,7 @@ class BatchedEngine(CompiledEngine):
     ) -> SampleResult:
         flat = self.flat_tables[adversary_index]
         if flat is None or want_fragment:
-            return super().sample(
+            return self.tree.sample(
                 adversary_index, start_index, rng, want_fragment=want_fragment
             )
         return self._sample_flat(
@@ -526,18 +315,22 @@ class BatchedEngine(CompiledEngine):
         )
 
     def _sample_flat(self, flat: FlatTable, node: int, rng, bound):
-        """Mirror of ``_sample_table`` over flat arrays and block draws.
+        """Mirror of :func:`~repro.execution.sampler.sample_event`.
 
-        Identical decision order per step (bound-reject, target-accept,
-        horizon, halt, draw); elapsed time is tracked as a scaled
-        integer against the pre-scaled ``bound`` threshold (exact, see
+        Same decision order per step (bound-reject, target-accept,
+        horizon, halt, draw), same single uniform draw per step resolved
+        against identically accumulated partial sums, same metric
+        totals — only the data representation differs, and guard checks
+        already ran at compile time so they consume nothing here.
+        Elapsed time is tracked as a scaled integer against the
+        pre-scaled ``bound`` threshold (exact, see
         ``FlatTable.scale_bound``).  The chain fast-path advances
         ``run`` steps at once only when ``elapsed + skip_total``
         provably stays within the bound (run deltas are nonnegative, so
         every prefix does too) and the run fits the horizon — otherwise
         it truncates at the horizon (interior nodes are never flagged,
         and prefix elapsed cannot exceed the already-checked total, so
-        the stepwise walk's final-iteration checks are provably no-ops)
+        the sampler's final-iteration checks are provably no-ops)
         or falls back to one stepwise move and re-examines.
         """
         max_steps = self.tree.max_steps
@@ -633,11 +426,11 @@ class BatchedEngine(CompiledEngine):
         return self._time_flat(flat, flat.start_nodes[start_index], rng)
 
     def _time_flat(self, flat: FlatTable, node: int, rng):
-        """Mirror of ``_time_table`` over flat arrays and block draws.
+        """Mirror of :func:`~repro.execution.sampler.sample_time_until`.
 
         Elapsed time accumulates as a scaled integer and is converted
         back to the identical ``Fraction`` on return (``Fraction(e, d)``
-        normalises exactly like the stepwise sum).
+        normalises exactly like the sampler's ``Fraction`` sum).
         """
         max_steps = self.tree.max_steps
         offsets = flat.offsets
@@ -725,6 +518,85 @@ class BatchedEngine(CompiledEngine):
             sampler._record_time_sample(result, steps_taken)
         return result
 
+    def exact_reach(
+        self, adversary_index: int, start_index: int, max_steps: int
+    ) -> EventBounds:
+        table = self.tables[adversary_index]
+        if table is None:
+            return self.tree.exact_reach(adversary_index, start_index, max_steps)
+        if max_steps < 0:
+            raise VerificationError("max_steps must be nonnegative")
+        accepted, undecided = self._exact_table(
+            table, table.start_nodes[start_index], max_steps
+        )
+        if obs.enabled():
+            obs.incr("measure.evaluations")
+        return EventBounds(lower=accepted, upper=accepted + undecided)
+
+    def _exact_table(
+        self, table: AdversaryTable, root: int, max_steps: int
+    ) -> Tuple[Fraction, Fraction]:
+        """(accepted, undecided) masses, mirroring the exact tree walk.
+
+        Dynamic programming over (node, elapsed, remaining) with exact
+        ``Fraction`` arithmetic on the unflattened table; rational
+        addition is associative, so factoring shared subtrees leaves
+        both masses exactly equal to the per-path sums
+        :func:`event_probability_bounds` computes.  The decision order
+        per node mirrors the tree walk: classify (time-reject before
+        target-accept), then adversary halt, then horizon.
+        """
+        bound = self._bound
+        flags = self.flags
+        node_state = table.node_state
+        choice_targets = table.choice_targets
+        choice_weights = table.choice_weights
+        choice_deltas = table.choice_deltas
+        memo = {}
+        stack = [(root, _ZERO, max_steps)]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            node, elapsed, remaining = key
+            if bound is not None and elapsed > bound:
+                memo[key] = (_ZERO, _ZERO)
+                stack.pop()
+                continue
+            if flags[node_state[node]]:
+                memo[key] = (_ONE, _ZERO)
+                stack.pop()
+                continue
+            targets = choice_targets[node]
+            if targets is None:
+                # Maximal execution; decide_maximal rejects.
+                memo[key] = (_ZERO, _ZERO)
+                stack.pop()
+                continue
+            if remaining == 0:
+                memo[key] = (_ZERO, _ONE)
+                stack.pop()
+                continue
+            deltas = choice_deltas[node]
+            children = [
+                (targets[i], elapsed + deltas[i], remaining - 1)
+                for i in range(len(targets))
+            ]
+            missing = [child for child in children if child not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            accepted = _ZERO
+            undecided = _ZERO
+            for weight, child in zip(choice_weights[node], children):
+                child_accepted, child_undecided = memo[child]
+                accepted += weight * child_accepted
+                undecided += weight * child_undecided
+            memo[key] = (accepted, undecided)
+            stack.pop()
+        return memo[(root, _ZERO, max_steps)]
+
 
 def build_engine(
     automaton: ProbabilisticAutomaton,
@@ -745,13 +617,12 @@ def build_engine(
     Selection rules:
 
     * ``tree`` — always the tree walk.
-    * ``compiled`` — compile or die: a blown state budget propagates as
+    * ``batched`` — compile or die: a blown state budget propagates as
       :class:`StateBudgetExceeded`; ``--fuel`` is refused (fuel
-      accounting is inherently per-fragment).
-    * ``batched`` — compile or die exactly like ``compiled``, then walk
-      the flattened arrays; the numpy block filler is auto-detected per
-      sampling stream, with the pure-python filler as the always-present
-      fallback.
+      accounting is inherently per-fragment).  The compiled tables are
+      then walked as flattened arrays; the numpy block filler is
+      auto-detected per sampling stream, with the pure-python filler as
+      the always-present fallback.
     * ``batched-pure`` — the batched engine with the numpy block filler
       forced off; byte-identical to ``batched`` by construction and
       selectable explicitly so the pure path is testable on machines
@@ -783,7 +654,7 @@ def build_engine(
     if engine == "tree":
         return tree
     if config.fuelled:
-        if engine in ("compiled", "batched", "batched-pure"):
+        if engine != "auto":
             raise VerificationError(
                 f"--engine {engine} is incompatible with --fuel: fuel is "
                 "accounted per execution fragment, which compiled "
@@ -816,19 +687,15 @@ def build_engine(
             # cover it like any other compile-time violation.
             flags = space.flags(target, guards)
     except StateBudgetExceeded:
-        if engine in ("compiled", "batched", "batched-pure"):
+        if engine != "auto":
             raise
         return tree
     except ContractViolation:
         return tree
-    if engine == "compiled":
-        compiled: CompiledEngine = CompiledEngine(tree, tables, flags)
-    else:
-        compiled = BatchedEngine(
-            tree, tables, flags, force_pure=(engine == "batched-pure")
-        )
+    batched = BatchedEngine(
+        tree, tables, flags, force_pure=(engine == "batched-pure")
+    )
     if obs.enabled():
-        obs.gauge("statespace.compiled_adversaries", compiled.compiled_adversaries)
-        if isinstance(compiled, BatchedEngine):
-            obs.gauge("statespace.flat_nodes", compiled.flat_nodes)
-    return compiled
+        obs.gauge("statespace.compiled_adversaries", batched.compiled_adversaries)
+        obs.gauge("statespace.flat_nodes", batched.flat_nodes)
+    return batched

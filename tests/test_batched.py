@@ -1,13 +1,13 @@
-"""Batched-engine, symmetry-quotient, and compiled-correctness suite.
+"""Batched-engine, symmetry-quotient, and compiled-table correctness suite.
 
 Three concerns share these fixtures:
 
-* regression tests for the compiled-engine correctness fixes (the
+* regression tests for the compiled-table correctness fixes (the
   unbounded time-bound crash, the ambiguous ``==``-match in
   ``_match_step``, the unchecked quotient-invariance of ``flags``);
 * the cross-backend byte-identity matrix — ``check`` / ``verify`` /
   ``expected-time`` stdout must be identical for
-  tree == compiled == batched(pure) == batched(numpy) across
+  tree == batched(pure) == batched(numpy) == auto across
   workers x guards;
 * the ring-rotation quotient: golden quotiented n=3 counts and the
   n=5 exact-reach feasibility smoke test.
@@ -74,29 +74,29 @@ def build_for(setup, statement, *, time_bound="statement", **kwargs):
 
 
 class TestUnboundedTimeBound:
-    """Regression: a bound-free check must not crash the compiled paths.
+    """Regression: a bound-free check must not crash the compiled tables.
 
-    ``CompiledEngine`` compared ``elapsed > bound`` with
+    The table walkers once compared ``elapsed > bound`` with
     ``self._bound = None`` whenever the check carried no time bound — a
     ``TypeError`` on the first sampled step (and in the exact DP).
     """
 
     def test_compiled_sample_without_bound(self, setup3, statement):
-        compiled = build_for(
-            setup3, statement, time_bound=None, engine="compiled"
+        pure = build_for(
+            setup3, statement, time_bound=None, engine="batched-pure"
         )
         tree = build_for(setup3, statement, time_bound=None, engine="tree")
         for seed in (0, 1, 2):
-            got = compiled.sample(0, 0, rng_from_seed(seed))
+            got = pure.sample(0, 0, rng_from_seed(seed))
             want = tree.sample(0, 0, rng_from_seed(seed))
             assert (got.verdict, got.steps) == (want.verdict, want.steps)
 
     def test_compiled_exact_reach_without_bound(self, setup3, statement):
-        compiled = build_for(
-            setup3, statement, time_bound=None, engine="compiled"
+        pure = build_for(
+            setup3, statement, time_bound=None, engine="batched-pure"
         )
         tree = build_for(setup3, statement, time_bound=None, engine="tree")
-        got = compiled.exact_reach(0, 0, 40)
+        got = pure.exact_reach(0, 0, 40)
         want = tree.exact_reach(0, 0, 40)
         assert (got.lower, got.upper) == (want.lower, want.upper)
 
@@ -217,21 +217,20 @@ class TestUniformSource:
 
 
 class TestBatchedByteIdentity:
-    """Engine API level: batched(pure) == batched(numpy) == compiled."""
+    """Engine API level: batched(pure) == batched(numpy) == tree."""
 
     def _engines(self, setup3, statement):
         batched = build_for(setup3, statement, engine="batched")
         pure = BatchedEngine(
             batched.tree, batched.tables, batched.flags, force_pure=True
         )
-        compiled = build_for(setup3, statement, engine="compiled")
-        return compiled, batched, pure
+        return batched.tree, batched, pure
 
     def test_sample_stream_identical(self, setup3, statement):
-        compiled, batched, pure = self._engines(setup3, statement)
+        tree, batched, pure = self._engines(setup3, statement)
         for adversary_index in range(len(setup3.adversaries)):
             streams = []
-            for engine in (compiled, batched, pure):
+            for engine in (tree, batched, pure):
                 rng = rng_from_seed(31 + adversary_index)
                 streams.append([
                     (result.verdict, result.steps)
@@ -243,10 +242,10 @@ class TestBatchedByteIdentity:
             assert streams[0] == streams[1] == streams[2]
 
     def test_time_stream_identical(self, setup3, statement):
-        compiled, batched, pure = self._engines(setup3, statement)
+        tree, batched, pure = self._engines(setup3, statement)
         for adversary_index in range(len(setup3.adversaries)):
             streams = []
-            for engine in (compiled, batched, pure):
+            for engine in (tree, batched, pure):
                 rng = rng_from_seed(77 + adversary_index)
                 streams.append([
                     engine.time_to_target(adversary_index, 0, rng)
@@ -317,7 +316,7 @@ CLI_MATRIX = [
     for guards in ("off", "warn", "strict")
 ]
 
-CLI_ENGINES = ("tree", "compiled", "batched", "auto")
+CLI_ENGINES = ("tree", "batched", "auto")
 
 
 def _run_cli(capsys, argv):
@@ -549,7 +548,7 @@ class TestQuotientInvarianceGuard:
 
     def test_strict_violation_falls_back_to_tree_in_build(self, statement):
         # End to end: a non-invariant target under the quotient must
-        # not silently ship a compiled engine in auto mode.
+        # not silently ship a batched engine in auto mode.
         setup = LRExperimentSetup.build(3, random_seeds=())
         strict = GuardConfig(mode=STRICT).validate()
         engine = build_engine(

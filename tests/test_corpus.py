@@ -125,7 +125,7 @@ class TestClassificationGrammar:
             self.cls().matches("maybe")
 
     def test_label_excludes_flagged_kinds(self):
-        # Warn-counter coverage is eager on compiled engines and lazy
+        # Warn-counter coverage is eager on batched engines and lazy
         # on the tree walk, so flagged kinds are diagnostics — two
         # cells differing only there are identical.
         plain = self.cls()
@@ -290,8 +290,8 @@ class TestSabotage:
         assert diff_case(shrunk, sabotage="batched")
 
     def test_sabotage_campaign_is_deterministic(self):
-        first = run_fuzz(seed=3, budget=4, sabotage="compiled").to_dict()
-        second = run_fuzz(seed=3, budget=4, sabotage="compiled").to_dict()
+        first = run_fuzz(seed=3, budget=4, sabotage="batched-pure").to_dict()
+        second = run_fuzz(seed=3, budget=4, sabotage="batched-pure").to_dict()
         assert first == second
 
     def test_shrink_counts_adopted_rewrites(self):
@@ -367,7 +367,7 @@ class TestCorpusCLI:
     ):
         code, out, _ = self.run_cli(
             ["fuzz", "--budget", "2", "--seed", "3",
-             "--sabotage", "compiled", "--no-manifest"],
+             "--sabotage", "batched-pure", "--no-manifest"],
             capsys,
         )
         assert code == cli.EXIT_DIVERGENCE

@@ -85,7 +85,7 @@ class TestEndToEnd:
         setup = herman.build(3)
         statement = herman.leaf_statements(3)["H.1"]
         digests = set()
-        for engine in ("tree", "compiled", "batched", "batched-pure"):
+        for engine in ("tree", "batched", "batched-pure"):
             report = check_statement(
                 statement, setup, seed=0, samples_per_pair=8,
                 max_steps=60, engine=engine,

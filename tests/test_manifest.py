@@ -111,7 +111,7 @@ class TestCliManifests:
     ):
         assert main(CHECK) == 0
         assert main([*CHECK, "--workers", "4"]) == 0
-        assert main([*CHECK, "--engine", "compiled"]) == 0
+        assert main([*CHECK, "--engine", "batched"]) == 0
         capsys.readouterr()
         scopes = {r["scope"] for r in store_records(tmp_path)}
         assert len(scopes) == 1

@@ -167,7 +167,7 @@ class TestCliByteIdentity:
         for flag, workers, engine in itertools.product(
             ((), ("--progress",)),
             ("1", "4"),
-            ("tree", "compiled", "auto"),
+            ("tree", "batched", "auto"),
         ):
             argv = [
                 *self.CHECK, *flag,

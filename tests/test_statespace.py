@@ -2,11 +2,11 @@
 
 The contract under test (``docs/statespace.md``): a verification report
 is a pure function of the problem and the root seed — *never* of the
-evaluation strategy.  ``--engine tree``, ``--engine compiled``,
-``--engine batched``, and ``--engine auto`` must produce byte-identical
-CLI JSON for every seed, worker count, and guard mode, and the interned
-representation itself is pinned by golden state/transition counts for
-the n=3 ring.
+evaluation strategy.  ``--engine tree``, ``--engine batched``, and
+``--engine auto`` must produce byte-identical reports (the CLI matrix
+over worker counts and guard modes lives in ``tests/test_batched.py``),
+and the interned representation itself is pinned by golden
+state/transition counts for the n=3 ring.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from repro.analysis.montecarlo import LRExperimentSetup, check_lr_statement
 from repro.cli import main
 from repro.contracts import OFF_CONFIG, WARN, GuardConfig
 from repro.errors import StateBudgetExceeded, VerificationError
-from repro.parallel import fork_available
+from repro.service import JobSpec
 from repro.statespace import (
     BatchedEngine,
-    CompiledEngine,
     SpaceSpec,
     TreeEngine,
     build_engine,
@@ -36,7 +35,7 @@ from repro.statespace import (
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 SAMPLES = 12
-ENGINES = ("tree", "compiled", "batched", "auto")
+ENGINES = ("tree", "batched", "auto")
 
 
 @pytest.fixture(scope="module")
@@ -125,10 +124,6 @@ class TestEngineSelection:
         engine = engine_for(setup3, statement, engine="tree")
         assert type(engine) is TreeEngine
 
-    def test_compiled_requested_gives_compiled(self, setup3, statement):
-        engine = engine_for(setup3, statement, engine="compiled")
-        assert type(engine) is CompiledEngine
-
     def test_batched_requested_gives_batched(self, setup3, statement):
         engine = engine_for(setup3, statement, engine="batched")
         assert type(engine) is BatchedEngine
@@ -136,13 +131,6 @@ class TestEngineSelection:
     def test_auto_prefers_batched(self, setup3, statement):
         engine = engine_for(setup3, statement, engine="auto")
         assert type(engine) is BatchedEngine
-
-    def test_compiled_with_fuel_is_refused(self, setup3, statement):
-        fuelled = GuardConfig(mode=WARN, fuel_steps=500).validate()
-        with pytest.raises(VerificationError):
-            engine_for(
-                setup3, statement, engine="compiled", guards=fuelled
-            )
 
     def test_batched_with_fuel_is_refused(self, setup3, statement):
         fuelled = GuardConfig(mode=WARN, fuel_steps=500).validate()
@@ -161,12 +149,6 @@ class TestEngineSelection:
         fuelled = GuardConfig(mode=WARN, fuel_steps=500).validate()
         engine = engine_for(setup3, statement, engine="auto", guards=fuelled)
         assert type(engine) is TreeEngine
-
-    def test_compiled_with_tiny_budget_raises(self, setup3, statement):
-        with pytest.raises(StateBudgetExceeded):
-            engine_for(
-                setup3, statement, engine="compiled", state_budget=10
-            )
 
     def test_auto_with_tiny_budget_falls_back_to_tree(self, setup3, statement):
         engine = engine_for(
@@ -205,47 +187,34 @@ class TestReportEquivalence:
             for engine in ENGINES
         }
         baseline = json.dumps(reports["tree"].to_dict(), sort_keys=True)
-        for engine in ("compiled", "batched", "auto"):
+        for engine in ("batched", "auto"):
             assert baseline == json.dumps(
                 reports[engine].to_dict(), sort_keys=True
             ), f"engine {engine!r} diverged from tree at seed {seed}"
 
 
-CLI_MATRIX = [
-    (workers, guards)
-    for workers in (1, 4)
-    for guards in ("off", "warn", "strict")
-]
-
-
 class TestCliByteIdentity:
-    """CLI-level: stdout bytes and exit status match across engines."""
-
-    @pytest.mark.parametrize("workers,guards", CLI_MATRIX)
-    def test_check_json_identical(self, capsys, workers, guards):
-        if workers > 1 and not fork_available():
-            pytest.skip("parallel backend needs the fork method")
-        runs = {}
-        for engine in ENGINES:
-            code = main([
-                "check", "--prop", "composed", "--n", "3",
-                "--seed", "5", "--samples", str(SAMPLES),
-                "--workers", str(workers), "--guards", guards,
-                "--engine", engine, "--json",
-            ])
-            runs[engine] = (code, capsys.readouterr().out)
-        assert (
-            runs["tree"] == runs["compiled"] == runs["batched"] == runs["auto"]
-        ), f"CLI output diverged at workers={workers} guards={guards}"
+    """CLI-level exit statuses; the stdout-identity matrix across
+    engines, workers, and guards lives in ``tests/test_batched.py``."""
 
     def test_state_budget_exit_code(self, capsys):
         code = main([
             "check", "--prop", "composed", "--n", "3",
             "--seed", "5", "--samples", "4",
-            "--engine", "compiled", "--state-budget", "10", "--json",
+            "--engine", "batched", "--state-budget", "10", "--json",
         ])
         capsys.readouterr()
         assert code == 2
+
+    def test_removed_compiled_engine_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["check", "--engine", "compiled"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'compiled'" in capsys.readouterr().err
+
+    def test_job_spec_rejects_removed_compiled_engine(self):
+        with pytest.raises(VerificationError):
+            JobSpec.parse(["check", "--engine", "compiled"])
 
 
 class TestSpaceSpecQuotient:

@@ -5,9 +5,7 @@ hang in one experiment cannot take down the rest), collects per-module
 outcome and wall time, and appends one entry to the suite's own
 ``BENCH_<suite>.json`` — a JSON list, one entry per invocation, so
 successive runs build a per-suite performance trajectory that
-regressions show up in.  (Historically everything was appended to
-``BENCH_statespace.json``; old aggregate-format entries in an existing
-file are preserved and skipped by comparisons.)
+regressions show up in.
 
 Usage::
 
@@ -139,10 +137,8 @@ def load_trajectory(out_path: Path) -> list:
 def previous_seconds(trajectory: list):
     """The newest comparable wall time in a trajectory, if any.
 
-    Skips entries without a numeric ``seconds`` field — notably the
-    historical aggregate format, whose entries carried
-    ``total_seconds`` over many suites and are not comparable to a
-    single suite's wall time.
+    Skips entries without a numeric ``seconds`` field: the file is
+    outside input and may hold anything.
     """
     for entry in reversed(trajectory):
         if isinstance(entry, dict) and isinstance(
