@@ -10,14 +10,17 @@ at least does not refute it, see :func:`refutes_lower_bound`).
 
 Three interval constructions are provided — Hoeffding, Wilson, and exact
 Clopper-Pearson — because they trade tightness against assumptions and
-the benchmarks report all three.
+the benchmarks report all three.  The Clopper-Pearson bounds are
+memoised per ``(successes, trials, confidence)``: reports re-derive
+them on every verdict access, from a handful of distinct counts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import VerificationError
 
@@ -99,48 +102,81 @@ def clopper_pearson_lower(
     """The exact (Clopper-Pearson) one-sided lower confidence bound.
 
     Computed by bisection on the binomial tail, so it needs no normal
-    approximation and is valid for every sample size.
+    approximation and is valid for every sample size.  Memoised; see
+    :func:`_cp_lower` for the cost and why the result is exact.
     """
     _check_confidence(confidence)
-    if summary.successes == 0:
-        return 0.0
-    alpha = 1.0 - confidence
-
-    def tail_at_least_k(p: float) -> float:
-        """P[Bin(n, p) >= successes]."""
-        return 1.0 - _binomial_cdf(summary.successes - 1, summary.trials, p)
-
-    # The lower bound is the p solving tail_at_least_k(p) = alpha.
-    low, high = 0.0, summary.estimate if summary.estimate > 0 else 1.0
-    high = max(high, 1e-12)
-    for _ in range(200):
-        mid = (low + high) / 2.0
-        if tail_at_least_k(mid) < alpha:
-            low = mid
-        else:
-            high = mid
-    return low
+    return _cp_lower(summary.successes, summary.trials, confidence)
 
 
 def clopper_pearson_upper(
     summary: BernoulliSummary, confidence: float = 0.99
 ) -> float:
-    """The exact one-sided upper confidence bound."""
+    """The exact one-sided upper confidence bound (memoised likewise)."""
     _check_confidence(confidence)
-    if summary.successes == summary.trials:
-        return 1.0
+    return _cp_upper(summary.successes, summary.trials, confidence)
+
+
+@functools.lru_cache(maxsize=4096)
+def _cp_lower(successes: int, trials: int, confidence: float) -> float:
+    """The lower bound: the p solving P[Bin(trials, p) >= successes] = alpha.
+
+    Returns the same float bits as a plain 200-step bisection that
+    calls :func:`_binomial_cdf` at every step, for three reasons:
+
+    * the log-binomial coefficients do not depend on ``p``, so they are
+      computed once, and every term is still summed in the same
+      left-to-right order (see :func:`_cdf_from_coefficients`);
+    * a step is a pure function of ``(low, high)``, so the first step
+      that changes neither is a fixed point that every later step would
+      repeat; the loop stops there, with ``range(200)`` still the cap;
+    * the bound is a pure function of its arguments, so the memo
+      returns what a fresh call would.
+
+    Cost of a miss: ``successes`` ``lgamma`` triples once, then one
+    ``exp`` per term at each step until the fixed point, about 55-60
+    steps for a bound in [1/2, 1) and more for tiny bounds.  A hit
+    costs one dict lookup.  ``successes >= 1`` puts the bound in
+    ``(0, successes / trials]``.
+    """
+    if successes == 0:
+        return 0.0
     alpha = 1.0 - confidence
-
-    def tail_at_most_k(p: float) -> float:
-        """P[Bin(n, p) <= successes]."""
-        return _binomial_cdf(summary.successes, summary.trials, p)
-
-    low, high = summary.estimate, 1.0
+    coefficients = _log_binomial_coefficients(successes - 1, trials)
+    low, high = 0.0, successes / trials
     for _ in range(200):
         mid = (low + high) / 2.0
-        if tail_at_most_k(mid) < alpha:
+        if 1.0 - _cdf_from_coefficients(coefficients, trials, mid) < alpha:
+            if mid == low:
+                break
+            low = mid
+        else:
+            if mid == high:
+                break
+            high = mid
+    return low
+
+
+@functools.lru_cache(maxsize=4096)
+def _cp_upper(successes: int, trials: int, confidence: float) -> float:
+    """The upper bound: the p solving P[Bin(trials, p) <= successes] = alpha.
+
+    Exact, and costed, as :func:`_cp_lower` (``successes + 1`` terms).
+    """
+    if successes == trials:
+        return 1.0
+    alpha = 1.0 - confidence
+    coefficients = _log_binomial_coefficients(successes, trials)
+    low, high = successes / trials, 1.0
+    for _ in range(200):
+        mid = (low + high) / 2.0
+        if _cdf_from_coefficients(coefficients, trials, mid) < alpha:
+            if mid == high:
+                break
             high = mid
         else:
+            if mid == low:
+                break
             low = mid
     return high
 
@@ -284,6 +320,26 @@ def _binomial_cdf(k: int, n: int, p: float) -> float:
         return 0.0
     if k >= n:
         return 1.0
+    return _cdf_from_coefficients(_log_binomial_coefficients(k, n), n, p)
+
+
+def _log_binomial_coefficients(k: int, n: int) -> List[float]:
+    """``log C(n, i)`` for ``i = 0..k``, via ``lgamma``."""
+    log_n_factorial = math.lgamma(n + 1)
+    return [
+        log_n_factorial - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+        for i in range(k + 1)
+    ]
+
+
+def _cdf_from_coefficients(coefficients: List[float], n: int, p: float) -> float:
+    """P[Bin(n, p) <= len(coefficients) - 1], given the log coefficients.
+
+    Each term is ``exp(coef + i*log_p + (n-i)*log_q)``, added to the
+    running sum in index order: the float operations, and so the bits,
+    of summing ``exp(lgamma(n+1) - lgamma(i+1) - lgamma(n-i+1) +
+    i*log_p + (n-i)*log_q)`` left to right.
+    """
     if p <= 0.0:
         return 1.0
     if p >= 1.0:
@@ -291,13 +347,7 @@ def _binomial_cdf(k: int, n: int, p: float) -> float:
     total = 0.0
     log_p = math.log(p)
     log_q = math.log(1.0 - p)
-    for i in range(k + 1):
-        log_term = (
-            math.lgamma(n + 1)
-            - math.lgamma(i + 1)
-            - math.lgamma(n - i + 1)
-            + i * log_p
-            + (n - i) * log_q
-        )
-        total += math.exp(log_term)
+    exp = math.exp
+    for i, coefficient in enumerate(coefficients):
+        total += exp(coefficient + i * log_p + (n - i) * log_q)
     return min(1.0, total)

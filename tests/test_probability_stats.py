@@ -12,6 +12,8 @@ from repro.probability.stats import (
     BernoulliSummary,
     MeanSummary,
     _binomial_cdf,
+    _cp_lower,
+    _cp_upper,
     _normal_quantile,
     clopper_pearson_lower,
     clopper_pearson_upper,
@@ -21,6 +23,101 @@ from repro.probability.stats import (
     supports_lower_bound,
     wilson_interval,
 )
+
+
+# ----------------------------------------------------------------------
+# Reference Clopper-Pearson: the original fixed 200-step bisection, with
+# three lgamma calls per CDF term at every step, kept frozen.  The
+# memoised bounds must return its float bits exactly.
+# benchmarks/bench_stats.py imports it from here as its timing base.
+# ----------------------------------------------------------------------
+
+
+def _reference_cdf(k: int, n: int, p: float) -> float:
+    if k < 0:
+        return 0.0
+    if k >= n:
+        return 1.0
+    if p <= 0.0:
+        return 1.0
+    if p >= 1.0:
+        return 0.0
+    total = 0.0
+    log_p = math.log(p)
+    log_q = math.log(1.0 - p)
+    for i in range(k + 1):
+        log_term = (
+            math.lgamma(n + 1)
+            - math.lgamma(i + 1)
+            - math.lgamma(n - i + 1)
+            + i * log_p
+            + (n - i) * log_q
+        )
+        total += math.exp(log_term)
+    return min(1.0, total)
+
+
+def reference_lower(successes: int, trials: int, confidence: float) -> float:
+    """The original ``clopper_pearson_lower``."""
+    if successes == 0:
+        return 0.0
+    alpha = 1.0 - confidence
+    estimate = successes / trials
+    low, high = 0.0, estimate if estimate > 0 else 1.0
+    high = max(high, 1e-12)
+    for _ in range(200):
+        mid = (low + high) / 2.0
+        if 1.0 - _reference_cdf(successes - 1, trials, mid) < alpha:
+            low = mid
+        else:
+            high = mid
+    return low
+
+
+def reference_upper(successes: int, trials: int, confidence: float) -> float:
+    """The original ``clopper_pearson_upper``."""
+    if successes == trials:
+        return 1.0
+    alpha = 1.0 - confidence
+    low, high = successes / trials, 1.0
+    for _ in range(200):
+        mid = (low + high) / 2.0
+        if _reference_cdf(successes, trials, mid) < alpha:
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+#: ``herman-verify``'s bounds (n=2000, confidence 0.99) as ``k: (lower,
+#: upper)`` in ``float.hex``, computed by the reference bisection.
+HERMAN_GOLDENS = {
+    1989: ("0x1.fa8354368a8bdp-1", "0x1.fec6e6e51b023p-1"),
+    1990: ("0x1.fadb250e1e18ep-1", "0x1.fef0fe37f2e5cp-1"),
+    1993: ("0x1.fbe9c8b787a00p-1", "0x1.ff672599a0700p-1"),
+    1994: ("0x1.fc4724f9cf25fp-1", "0x1.ff8ae7cb2857cp-1"),
+    1995: ("0x1.fca6a99aa63e7p-1", "0x1.ffac1d8c3c373p-1"),
+}
+
+
+def _clear_cp_cache() -> None:
+    _cp_lower.cache_clear()
+    _cp_upper.cache_clear()
+
+
+def _bounds_hex(successes: int, trials: int, confidence: float):
+    summary = BernoulliSummary(successes, trials)
+    return (
+        clopper_pearson_lower(summary, confidence).hex(),
+        clopper_pearson_upper(summary, confidence).hex(),
+    )
+
+
+def _reference_hex(successes: int, trials: int, confidence: float):
+    return (
+        reference_lower(successes, trials, confidence).hex(),
+        reference_upper(successes, trials, confidence).hex(),
+    )
 
 
 class TestBernoulliSummary:
@@ -115,6 +212,69 @@ class TestClopperPearson:
             < summary.estimate
             < clopper_pearson_upper(summary)
         )
+
+
+class TestClopperPearsonBitIdentity:
+    """The memoised bounds return the reference bisection's float bits."""
+
+    @pytest.mark.parametrize("confidence", [0.9, 0.99, 0.999])
+    def test_every_k_up_to_n_30(self, confidence):
+        _clear_cp_cache()
+        for n in range(1, 31):
+            for k in range(n + 1):
+                assert _bounds_hex(k, n, confidence) == _reference_hex(
+                    k, n, confidence
+                ), (k, n)
+
+    def test_every_k_at_n_120(self):
+        _clear_cp_cache()
+        for k in range(121):
+            assert _bounds_hex(k, 120, 0.99) == _reference_hex(k, 120, 0.99), k
+
+    @pytest.mark.parametrize("k", sorted(HERMAN_GOLDENS))
+    def test_herman_goldens(self, k):
+        _clear_cp_cache()
+        assert _bounds_hex(k, 2000, 0.99) == HERMAN_GOLDENS[k]
+
+    @pytest.mark.parametrize("n", [10**3, 10**6])
+    def test_tiny_lower_bound(self, n):
+        # Bisection from (0, 1/n] halves its way down to ~1e-8 at n=10^6,
+        # well past the ~55 steps a bound in [1/2, 1) needs.
+        _clear_cp_cache()
+        for confidence in (0.9, 0.99, 0.999):
+            actual = clopper_pearson_lower(BernoulliSummary(1, n), confidence)
+            assert 0.0 < actual < 1.0 / n
+            assert actual.hex() == reference_lower(1, n, confidence).hex()
+
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    def test_k_0_and_k_n_early_returns(self, n):
+        _clear_cp_cache()
+        assert clopper_pearson_lower(BernoulliSummary(0, n), 0.99) == 0.0
+        assert clopper_pearson_upper(BernoulliSummary(n, n), 0.99) == 1.0
+
+
+class TestClopperPearsonMemo:
+    def test_invalid_confidence_raises_on_every_call(self):
+        summary = BernoulliSummary(5, 10)
+        clopper_pearson_lower(summary, 0.99)
+        clopper_pearson_upper(summary, 0.99)
+        for bound in (clopper_pearson_lower, clopper_pearson_upper):
+            for _ in range(2):
+                with pytest.raises(VerificationError):
+                    bound(summary, confidence=1.0)
+
+    def test_cache_is_bounded_and_hit_on_repeats(self):
+        _clear_cp_cache()
+        summary = BernoulliSummary(17, 40)
+        for bound, cached in (
+            (clopper_pearson_lower, _cp_lower),
+            (clopper_pearson_upper, _cp_upper),
+        ):
+            assert cached.cache_info().maxsize is not None
+            first = bound(summary, 0.99)
+            assert bound(summary, 0.99) == first
+            info = cached.cache_info()
+            assert (info.hits, info.misses) == (1, 1)
 
 
 class TestDecisions:
