@@ -15,8 +15,6 @@ plain-text report:
 * ``appendix``       — the appendix lemmas, exactly;
 * ``expected-time``  — measured time-to-critical vs the bound 63;
 * ``sweep``          — ring-size and deadline ablations;
-* ``election``       — the leader-election case study;
-* ``benor``          — the Ben-Or consensus case study;
 * ``independence``   — Example 4.1 / Proposition 4.2, exactly;
 * ``stats``          — an instrumented Lehmann-Rabin run: span tree and
   metric tables (samples drawn, steps simulated, value-iteration
@@ -65,15 +63,22 @@ whichever engine ran (see ``docs/statespace.md``).  The sampling
 subcommands, ``audit``, and ``fuzz`` accept ``--model NAME`` to select
 a registered case study from :mod:`repro.models`; the default ``lr``
 is the paper's Lehmann-Rabin ring and reproduces the historical output
-byte for byte (see ``docs/models.md``).
+byte for byte (see ``docs/models.md``); the other case studies
+(``election``, ``benor``, ``herman``) run through the same commands.
+A flag value the run cannot use — an out-of-range ``--n``, an unknown
+``--prop``, ``--resume`` without ``--checkpoint`` — exits with status 2
+and one ``repro: error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from typing import Optional, Sequence
+
+from repro.errors import VerificationError
 
 # Retries a pooled task gets by default before its failure aborts the
 # run: survives transient worker losses at zero cost on healthy runs.
@@ -96,8 +101,9 @@ EXIT_STATUS_EPILOG = """\
 exit status:
   0  success: every checked claim held
   1  a checked claim was refuted (or a measured bound failed)
-  2  usage error (unknown flags or propositions, contradictory flags,
-     or --engine batched/batched-pure blew its --state-budget)
+  2  usage error: unknown flags, models or propositions, a flag value
+     the run cannot use (out of range or contradicting another flag),
+     or --engine batched/batched-pure blew its --state-budget
   3  infrastructure failure: a pooled run exhausted its
      fault-tolerance budget, a checkpoint file was unusable, or the
      job service failed (lease lost, job store corrupt, workers
@@ -146,13 +152,6 @@ def _build_policy(args: argparse.Namespace):
     return policy
 
 
-def _checkpoint_scope(policy):
-    """Context manager closing the policy's checkpoint, if any."""
-    if policy.checkpoint is not None:
-        return policy.checkpoint
-    return nullcontext()
-
-
 def _build_guards(args: argparse.Namespace):
     """The contract-guard configuration described by the CLI flags.
 
@@ -164,44 +163,109 @@ def _build_guards(args: argparse.Namespace):
     from repro import contracts
 
     contracts.reset_warnings()
-    config = contracts.GuardConfig.from_flags(
-        getattr(args, "guards", "off"), getattr(args, "fuel", None)
-    )
+    config = contracts.GuardConfig.from_flags(args.guards, args.fuel)
     config.validate()
     return config
 
 
-def _quarantine_lines(*reports) -> list:
-    """Human-readable skip lines for every quarantined pair."""
-    lines = []
-    for report in reports:
-        for pair in getattr(report, "quarantined", ()):
-            lines.append(f"repro: {pair.describe()}")
-    return lines
+def _print_json(value) -> None:
+    """Print ``value`` as canonical JSON: the ``--json`` output format."""
+    print(json.dumps(value, sort_keys=True, indent=2))
+
+
+def _exit_status(
+    failures: int, reports, *, blank: bool = False, quiet: bool = False
+) -> int:
+    """Print a line per quarantined pair; the sampling run's exit status.
+
+    1 when a claim failed, else :data:`EXIT_CONTRACT` when a pair was
+    quarantined, else 0.  ``blank`` prints an empty line before the
+    quarantine lines; ``quiet`` (``--json``, whose report lists the
+    pairs) prints nothing.
+    """
+    skips = [
+        f"repro: {pair.describe()}"
+        for report in reports
+        for pair in report.quarantined
+    ]
+    if skips and not quiet:
+        if blank:
+            print()
+        print("\n".join(skips))
+    if failures:
+        return 1
+    return EXIT_CONTRACT if skips else 0
+
+
+def _sizes(text: str) -> tuple:
+    """The instance sizes of a comma-separated ``--sizes`` list."""
+    try:
+        return tuple(int(size) for size in text.split(","))
+    except ValueError:
+        raise VerificationError(
+            f"--sizes takes comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _resolve_model(args: argparse.Namespace):
-    """The registry model named by ``--model``, with defaults filled in.
+    """The registry model named by ``--model``, with its flags resolved.
 
     The parser leaves the model-dependent flags (``--n``, ``--prop``,
-    ``--sizes``) as ``None``; this resolves them to the selected
-    model's own defaults, so downstream code and the run manifest
-    always see concrete values.  Raises
-    :class:`~repro.errors.UnknownModelError` for unregistered names
-    (mapped to exit status 2 in :func:`main`).
+    ``--sizes``) as ``None``; this fills them with the selected
+    model's own defaults, so downstream code, the run manifest and the
+    job service's scope fingerprint always see concrete values.  Then
+    it checks every instance size against the model's range and the
+    proposition against its statements.  Raises
+    :class:`~repro.errors.VerificationError` (exit status 2 in
+    :func:`main`) for an unregistered model, a bad size or an unknown
+    proposition.
     """
     from repro.models import get_model
 
-    model = get_model(getattr(args, "model", "lr"))
-    if hasattr(args, "n"):
-        if args.n is None:
-            args.n = model.n_default
-        model.validate_n(args.n)
+    model = get_model(args.model)
+    if getattr(args, "n", 0) is None:
+        args.n = model.n_default
     if getattr(args, "prop", 0) is None:
         args.prop = model.default_prop
     if getattr(args, "sizes", 0) is None:
         args.sizes = ",".join(str(size) for size in model.sweep_sizes)
+    if hasattr(args, "n"):
+        model.validate_n(args.n)
+    if hasattr(args, "sizes"):
+        for size in _sizes(args.sizes):
+            model.validate_n(size)
+    if hasattr(args, "prop") and args.prop != "composed":
+        leaves = model.leaf_statements(args.n)
+        if args.prop not in leaves:
+            choices = ", ".join(["composed", *sorted(leaves)])
+            raise VerificationError(
+                f"unknown proposition {args.prop!r} (choices: {choices})"
+            )
     return model
+
+
+@contextmanager
+def _sampling_run(args: argparse.Namespace):
+    """Set up a sampling command; yields ``(model, run)``.
+
+    Resolves the model (:func:`_resolve_model`), builds the
+    fault-tolerance policy and the contract guards, and keeps the
+    policy's checkpoint open for the body.  ``run`` holds the keyword
+    arguments every sampling call forwards unchanged.  The model, size,
+    proposition, policy and guard flags are checked here, before the
+    command prints anything; ``repro submit`` runs the same checks.
+    """
+    model = _resolve_model(args)
+    policy = _build_policy(args)
+    run = {
+        "workers": args.workers,
+        "policy": policy,
+        "guards": _build_guards(args),
+        "engine": args.engine,
+        "state_budget": args.state_budget,
+    }
+    with nullcontext() if policy.checkpoint is None else policy.checkpoint:
+        yield model, run
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
@@ -214,16 +278,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.analysis.montecarlo import check_all_leaves, check_statement
     from repro.analysis.reporting import arrow_report_row, banner, format_table
 
-    model = _resolve_model(args)
-    policy = _build_policy(args)
-    guards = _build_guards(args)
-    setup = model.build(args.n)
-    print(banner(f"Monte-Carlo verification, {model.size_noun} {args.n}"))
-    with _checkpoint_scope(policy):
+    with _sampling_run(args) as (model, run):
+        setup = model.build(args.n)
+        print(banner(f"Monte-Carlo verification, {model.size_noun} {args.n}"))
         reports = check_all_leaves(
-            setup, seed=args.seed, samples_per_pair=args.samples,
-            workers=args.workers, policy=policy, guards=guards,
-            engine=args.engine, state_budget=args.state_budget,
+            setup, seed=args.seed, samples_per_pair=args.samples, **run
         )
         rows = []
         failures = 0
@@ -233,66 +292,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         chain = model.proof_chain(args.n)
         final = check_statement(
             chain.final_statement, setup, seed=args.seed,
-            samples_per_pair=args.samples, workers=args.workers,
-            policy=policy, guards=guards, engine=args.engine,
-            state_budget=args.state_budget,
+            samples_per_pair=args.samples, **run
         )
     failures += final.refuted
     rows.append(arrow_report_row("composed", final))
     print(format_table(("claim", "statement", "worst estimate", "verdict"),
                        rows))
-    skips = _quarantine_lines(final, *reports.values())
-    if skips:
-        print()
-        print("\n".join(skips))
-    if failures:
-        return 1
-    return EXIT_CONTRACT if skips else 0
-
-
-def _resolve_statement(model, n: int, prop: str):
-    """The arrow statement named ``prop`` ('composed' or a leaf name).
-
-    ``composed`` always names the model's end-to-end chain conclusion;
-    anything else is looked up among the leaf statements.  Returns
-    ``None`` when the name is unknown (the caller reports the
-    available choices).
-    """
-    if prop == "composed":
-        return model.proof_chain(n).final_statement
-    return model.leaf_statements(n).get(prop)
+    return _exit_status(failures, [final, *reports.values()], blank=True)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis.montecarlo import check_statement
     from repro.analysis.reporting import arrow_report_row, banner, format_table
 
-    model = _resolve_model(args)
-    statement = _resolve_statement(model, args.n, args.prop)
-    if statement is None:
-        choices = ", ".join(
-            ["composed", *sorted(model.leaf_statements(args.n))]
-        )
-        print(
-            f"repro: error: unknown proposition {args.prop!r} "
-            f"(choices: {choices})",
-            file=sys.stderr,
-        )
-        return 2
-    policy = _build_policy(args)
-    guards = _build_guards(args)
-    setup = model.build(args.n)
-    with _checkpoint_scope(policy):
+    with _sampling_run(args) as (model, run):
+        # 'composed' names the model's end-to-end chain conclusion;
+        # anything else is a leaf (_resolve_model checked the name).
+        if args.prop == "composed":
+            statement = model.proof_chain(args.n).final_statement
+        else:
+            statement = model.leaf_statements(args.n)[args.prop]
+        setup = model.build(args.n)
         report = check_statement(
             statement, setup, seed=args.seed, samples_per_pair=args.samples,
-            workers=args.workers, early_stop=args.early_stop, policy=policy,
-            guards=guards, engine=args.engine,
-            state_budget=args.state_budget,
+            early_stop=args.early_stop, **run
         )
     if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+        _print_json(report.to_dict())
     else:
         print(banner(
             f"Monte-Carlo check of {args.prop}, {model.size_noun} {args.n}"
@@ -303,40 +329,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
         ))
         print()
         print(report.summary_line())
-        skips = _quarantine_lines(report)
-        if skips:
-            print("\n".join(skips))
-    if report.refuted:
-        return 1
-    return EXIT_CONTRACT if report.quarantined else 0
+    return _exit_status(report.refuted, [report], quiet=args.json)
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
     from repro.analysis.montecarlo import check_statement
     from repro.analysis.reporting import banner
 
-    model = _resolve_model(args)
-    chain = model.proof_chain(args.n)
-    setup = model.build(args.n)
-    print(banner(f"The composed chain, {model.size_noun} {args.n}"))
-    print(chain.ledger.explain(chain.final_id))
-    print()
-    policy = _build_policy(args)
-    guards = _build_guards(args)
-    with _checkpoint_scope(policy):
+    with _sampling_run(args) as (model, run):
+        chain = model.proof_chain(args.n)
+        setup = model.build(args.n)
+        print(banner(f"The composed chain, {model.size_noun} {args.n}"))
+        print(chain.ledger.explain(chain.final_id))
+        print()
         report = check_statement(
             chain.final_statement, setup, seed=args.seed,
-            samples_per_pair=args.samples, workers=args.workers,
-            early_stop=args.early_stop, policy=policy, guards=guards,
-            engine=args.engine, state_budget=args.state_budget,
+            samples_per_pair=args.samples, early_stop=args.early_stop, **run
         )
     print(report.summary_line())
-    skips = _quarantine_lines(report)
-    if skips:
-        print("\n".join(skips))
-    if report.refuted:
-        return 1
-    return EXIT_CONTRACT if report.quarantined else 0
+    return _exit_status(report.refuted, [report])
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
@@ -355,24 +366,17 @@ def _cmd_expected_time(args: argparse.Namespace) -> int:
     from repro.analysis.montecarlo import measure_expected_time
     from repro.analysis.reporting import banner, format_table, time_report_row
 
-    model = _resolve_model(args)
-    bound = model.expected_time_bound(args.n)
-    setup = model.build(args.n)
-    print(banner(f"Time to {model.target_label}, {model.size_noun} {args.n} "
-                 f"(bound: {bound})"))
-    policy = _build_policy(args)
-    guards = _build_guards(args)
-    with _checkpoint_scope(policy):
+    with _sampling_run(args) as (model, run):
+        bound = model.expected_time_bound(args.n)
+        setup = model.build(args.n)
+        print(banner(f"Time to {model.target_label}, {model.size_noun} "
+                     f"{args.n} (bound: {bound})"))
         reports = measure_expected_time(
-            setup, seed=args.seed, samples=args.samples,
-            workers=args.workers, policy=policy, guards=guards,
-            engine=args.engine, state_budget=args.state_budget,
+            setup, seed=args.seed, samples=args.samples, **run
         )
     rows = []
     failures = 0
-    quarantined = 0
     for name, report in sorted(reports.items()):
-        quarantined += len(report.quarantined)
         if not report.times:
             # Every start was quarantined (or nothing reached the
             # target): there is no mean to compare against the bound.
@@ -386,78 +390,41 @@ def _cmd_expected_time(args: argparse.Namespace) -> int:
     print(format_table(
         ("adversary", "mean", "max", "unreached", "verdict"), rows
     ))
-    skips = _quarantine_lines(*reports.values())
-    if skips:
-        print()
-        print("\n".join(skips))
-    if failures:
-        return 1
-    return EXIT_CONTRACT if quarantined else 0
+    return _exit_status(failures, reports.values(), blank=True)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import horizon_sweep, ring_size_sweep
     from repro.analysis.reporting import banner, format_table
 
-    model = _resolve_model(args)
-    policy = _build_policy(args)
-    guards = _build_guards(args)
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    final = model.proof_chain(model.n_default).final_statement
-    source, target = final.source.name, final.target.name
-    print(banner(f"{model.sweep_noun} sweep"))
-    with _checkpoint_scope(policy):
+    with _sampling_run(args) as (model, run):
+        final = model.proof_chain(model.n_default).final_statement
+        source, target = final.source.name, final.target.name
+        print(banner(f"{model.sweep_noun} sweep"))
         rows = ring_size_sweep(
-            sizes=sizes, seed=args.seed, samples_per_pair=args.samples,
-            time_samples=args.samples, workers=args.workers, policy=policy,
-            guards=guards, engine=args.engine,
-            state_budget=args.state_budget, model=model,
+            sizes=_sizes(args.sizes), seed=args.seed,
+            samples_per_pair=args.samples, time_samples=args.samples,
+            model=model, **run
         )
-    print(format_table(
-        ("n", f"min P[{source} -{final.time_bound}-> {target}]",
-         "claimed", "worst mean time"),
-        [
-            (r.n, f"{r.min_success_estimate:.3f}", f"{r.claimed:.3f}",
-             f"{r.mean_time_to_c:.2f}")
-            for r in rows
-        ],
-    ))
-    print()
-    print(banner(f"Deadline sweep (n = {model.n_default})"))
-    with _checkpoint_scope(policy):
+        print(format_table(
+            ("n", f"min P[{source} -{final.time_bound}-> {target}]",
+             "claimed", "worst mean time"),
+            [
+                (r.n, f"{r.min_success_estimate:.3f}", f"{r.claimed:.3f}",
+                 f"{r.mean_time_to_c:.2f}")
+                for r in rows
+            ],
+        ))
+        print()
+        print(banner(f"Deadline sweep (n = {model.n_default})"))
         hrows = horizon_sweep(
-            n=model.n_default, seed=args.seed,
-            samples_per_pair=args.samples,
-            workers=args.workers, policy=policy, guards=guards,
-            engine=args.engine, state_budget=args.state_budget,
-            model=model,
+            n=model.n_default, seed=args.seed, samples_per_pair=args.samples,
+            model=model, **run
         )
     print(format_table(
         ("deadline", f"min P[{source} -t-> {target}]"),
         [(r.time_bound, f"{r.min_success_estimate:.3f}") for r in hrows],
     ))
-    return 0
-
-
-def _cmd_election(args: argparse.Namespace) -> int:
-    from repro.algorithms import election as el
-    from repro.analysis.reporting import banner
-
-    chain = el.election_proof(args.n)
-    print(banner(f"Leader election, {args.n} candidates"))
-    print(chain.ledger.explain(chain.final_id))
-    print(f"\nexpected-time bound: {el.election_expected_time_bound(args.n)}")
-    return 0
-
-
-def _cmd_benor(args: argparse.Namespace) -> int:
-    from repro.algorithms import benor as bo
-    from repro.analysis.reporting import banner
-
-    statement = bo.benor_progress_statement(args.n)
-    print(banner(f"Ben-Or consensus, {args.n} processes"))
-    print(f"progress statement: {statement!r}")
-    print(f"expected-time bound: {bo.benor_expected_time_bound(args.n)}")
     return 0
 
 
@@ -536,19 +503,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         render_span_tree,
     )
 
-    model = _resolve_model(args)
-    target_name = model.proof_chain(args.n).final_statement.target.name
-    policy = _build_policy(args)
-    guards = _build_guards(args)
-    with obs.recording() as registry, _checkpoint_scope(policy):
-        with obs.span(
+    with _sampling_run(args) as (model, run):
+        target_name = model.proof_chain(args.n).final_statement.target.name
+        with obs.recording() as registry, obs.span(
             "stats.run", n=args.n, seed=args.seed, samples=args.samples
         ):
             setup = model.build(args.n)
             reports = check_all_leaves(
-                setup, seed=args.seed, samples_per_pair=args.samples,
-                workers=args.workers, policy=policy, guards=guards,
-                engine=args.engine, state_budget=args.state_budget,
+                setup, seed=args.seed, samples_per_pair=args.samples, **run
             )
             with obs.span("stats.value_iteration", n=args.n):
                 worst_rounds = extremal_expected_time_rounds(
@@ -573,22 +535,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"\nworst-case expected rounds to {target_name} "
           f"(round-synchronous): {worst_rounds:.4f}")
     print(f"refuted statements: {failures}")
-    skips = _quarantine_lines(*reports.values())
-    if skips:
-        print()
-        print("\n".join(skips))
+    code = _exit_status(failures, reports.values(), blank=True)
     sink_code = _write_trace(
         registry, args.trace_out,
         reports=[report.to_dict() for report in reports.values()],
     ) if args.trace_out else 0
-    if failures:
-        return 1
-    return EXIT_CONTRACT if skips else sink_code
+    return code or sink_code
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis.reporting import banner
     from repro.contracts import audit_automaton
 
@@ -596,7 +551,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     automaton = model.build(args.n).automaton
     report = audit_automaton(automaton, horizon=args.horizon)
     if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+        _print_json(report.to_dict())
     else:
         print(banner(
             f"Definition 2.1 audit of the {model.title} automaton, "
@@ -617,8 +572,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_models(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis.reporting import banner, format_table
     from repro.models import registered_models
 
@@ -641,7 +594,7 @@ def _cmd_models(args: argparse.Namespace) -> int:
             "sweep_sizes": list(model.sweep_sizes),
         })
     if args.json:
-        print(json.dumps(records, sort_keys=True, indent=2))
+        _print_json(records)
         return 0
     print(banner("Registered models"))
     print(format_table(
@@ -700,25 +653,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs import manifest as mf
 
     if args.runs_cmd == "list":
         manifests = mf.load_manifests(args.runs_dir)
         if args.json:
-            print(json.dumps(manifests, sort_keys=True, indent=2))
+            _print_json(manifests)
         else:
             print(mf.render_runs_table(manifests))
         return 0
     if args.runs_cmd == "show":
         record = mf.find_manifest(args.id, args.runs_dir)
         if record is None:
-            print(f"repro: error: no recorded run matches {args.id!r}",
-                  file=sys.stderr)
-            return 2
+            raise VerificationError(f"no recorded run matches {args.id!r}")
         if args.json:
-            print(json.dumps(record, sort_keys=True, indent=2))
+            _print_json(record)
         else:
             print(mf.render_manifest(record))
         return 0
@@ -730,15 +679,13 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         if record is None
     ]
     if missing:
-        print(
-            f"repro: error: no recorded run matches "
-            f"{', '.join(repr(run_id) for run_id in missing)}",
-            file=sys.stderr,
+        raise VerificationError(
+            "no recorded run matches "
+            + ", ".join(repr(run_id) for run_id in missing)
         )
-        return 2
     comparison = mf.diff_manifests(old, new)
     if args.json:
-        print(json.dumps(comparison, sort_keys=True, indent=2))
+        _print_json(comparison)
     else:
         print(mf.render_diff(comparison))
     return 0
@@ -750,28 +697,22 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.sinks import read_jsonl
 
     if args.run and args.source:
-        print("repro: error: give a trace file or --run, not both",
-              file=sys.stderr)
-        return 2
+        raise VerificationError("give a trace file or --run, not both")
     if args.run:
         record = mf.find_manifest(args.run, args.runs_dir)
         if record is None:
-            print(f"repro: error: no recorded run matches {args.run!r}",
-                  file=sys.stderr)
-            return 2
+            raise VerificationError(f"no recorded run matches {args.run!r}")
         rows = prof.merge_profiles([record.get("profile") or []])
     elif args.source:
         try:
             records = read_jsonl(args.source)
         except OSError as error:
-            print(f"repro: error: cannot read {args.source}: {error}",
-                  file=sys.stderr)
-            return 2
+            raise VerificationError(
+                f"cannot read {args.source}: {error}"
+            ) from None
         rows = prof.aggregate_spans(records)
     else:
-        print("repro: error: give a --trace-out JSONL file or --run ID",
-              file=sys.stderr)
-        return 2
+        raise VerificationError("give a --trace-out JSONL file or --run ID")
     if args.folded:
         print(prof.render_folded(rows))
     else:
@@ -792,7 +733,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    traceable = argparse.ArgumentParser(add_help=False)
+    # Every flag two or more subcommands share is declared once, in an
+    # argparse parent.  Parents share their Action objects, so a
+    # set_defaults() on one subcommand would change the flag's default
+    # in all of them: a flag whose default differs between subcommands
+    # (--samples, --states) gets one parent per default instead.
+    def shared(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    json_flag = shared()
+    json_flag.add_argument(
+        "--json", action="store_true",
+        help="print the result as canonical JSON",
+    )
+    runs_dir = shared()
+    runs_dir.add_argument(
+        "--runs-dir", metavar="DIR", default=None, dest="runs_dir",
+        help="manifest store location (default: $REPRO_RUNS_DIR or "
+             ".repro/runs)",
+    )
+    traceable = shared(runs_dir)
     traceable.add_argument(
         "--trace-out", metavar="FILE.jsonl", default=None,
         help="record spans and metrics to a JSONL trace file",
@@ -802,197 +762,200 @@ def build_parser() -> argparse.ArgumentParser:
         help="do not append a provenance record for this run to the "
              "manifest store (default: record one)",
     )
-    traceable.add_argument(
-        "--runs-dir", metavar="DIR", default=None, dest="runs_dir",
-        help="manifest store location (default: $REPRO_RUNS_DIR or "
-             ".repro/runs)",
-    )
+    seed = shared()
+    seed.add_argument("--seed", type=int, default=0, help="RNG seed")
 
-    def add_command(name, **kwargs):
-        return sub.add_parser(name, parents=[traceable], **kwargs)
-
-    def robust(p):
-        """Fault-tolerance flags shared by the sampling subcommands."""
-        p.add_argument(
-            "--progress", action="store_true",
-            help="render a live progress line (tasks done, rate, ETA, "
-                 "retry/quarantine/degradation counters) on stderr; "
-                 "stdout stays byte-identical with or without it",
-        )
-        p.add_argument(
-            "--timeout", type=float, default=None, metavar="SECONDS",
-            help="per-task wall-clock timeout; hung workers are "
-                 "terminated and the task is retried",
-        )
-        p.add_argument(
-            "--retries", type=int, default=DEFAULT_RETRIES, metavar="N",
-            help="retries per task after a worker crash, timeout, or "
-                 "corrupted result (default: %(default)s)",
-        )
-        p.add_argument(
-            "--checkpoint", metavar="FILE.jsonl", default=None,
-            help="append completed task results to a crash-safe JSONL "
-                 "checkpoint",
-        )
-        p.add_argument(
-            "--resume", action="store_true",
-            help="skip tasks already recorded in --checkpoint; the "
-                 "resumed report is bit-identical to an uninterrupted run",
-        )
-        p.add_argument(
-            "--inject-faults", metavar="SPEC", default=None,
-            help="deterministically inject worker failures, e.g. "
-                 "'crash=0.1,hang=0.05,corrupt=0.02,seed=7' "
-                 "(see docs/robustness.md)",
-        )
-        p.add_argument(
-            "--guards", choices=("off", "warn", "strict"), default="warn",
-            help="model-contract enforcement: 'off' skips all checks, "
-                 "'warn' reports violations once per site on stderr, "
-                 "'strict' quarantines the offending (adversary, start) "
-                 "pair and exits with status 4 (default: %(default)s; "
-                 "see docs/contracts.md)",
-        )
-        p.add_argument(
-            "--fuel", metavar="SPEC", default=None,
-            help="per-execution budget surfacing nontermination, e.g. "
-                 "'5000' (steps) or 'steps=5000,seconds=2.5'; requires "
-                 "--guards warn or strict",
-        )
-        p.add_argument(
-            "--engine",
-            choices=("tree", "batched", "batched-pure", "auto"),
-            default="tree",
-            help="evaluation strategy: 'tree' walks the live object "
-                 "graph, 'batched' interns the reachable state space "
-                 "once, flattens it into arrays, and draws uniforms in "
-                 "blocks (numpy-accelerated when available; errors "
-                 "when the --state-budget is exceeded), "
-                 "'batched-pure' is 'batched' with the numpy filler "
-                 "forced off, 'auto' prefers the batched walk when the "
-                 "space fits and falls back to the tree walk otherwise; "
-                 "reports are byte-identical whichever engine ran "
-                 "(default: %(default)s; see docs/statespace.md)",
-        )
-        p.add_argument(
-            "--state-budget", type=int, default=None, metavar="N",
-            dest="state_budget",
-            help="cap on interned states (and per-adversary product "
-                 "nodes) for --engine batched/batched-pure/auto "
-                 "(default: 200000)",
-        )
-
-    def model_flag(p):
-        p.add_argument(
-            "--model", default="lr", metavar="NAME",
-            help="registered case-study model to verify (default: "
-                 "%(default)s; list them with 'repro models')",
-        )
-
-    def common(p, samples_default=80):
-        model_flag(p)
-        p.add_argument(
-            "--n", type=int, default=None,
-            help="instance size (default: the model's own, 3 for lr)",
-        )
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument(
-            "--samples", type=int, default=samples_default,
+    def samples(default):
+        parent = shared()
+        parent.add_argument(
+            "--samples", type=int, default=default,
             help="Monte-Carlo samples per (adversary, start) pair",
         )
-        p.add_argument(
-            "--workers", type=int, default=1,
-            help="sampling worker processes (1 = sequential; results "
-                 "are identical for every count)",
+        return parent
+
+    def states(default):
+        parent = shared()
+        parent.add_argument(
+            "--states", type=int, default=default,
+            help="sampled start states per region",
         )
-        robust(p)
+        return parent
+
+    model = shared()
+    model.add_argument(
+        "--model", default="lr", metavar="NAME",
+        help="registered case-study model to verify (default: "
+             "%(default)s; list them with 'repro models')",
+    )
+    model_n = shared(model)
+    model_n.add_argument(
+        "--n", type=int, default=None,
+        help="instance size (default: the model's own, 3 for lr)",
+    )
+    lr_n = shared()
+    lr_n.add_argument(
+        "--n", type=int, default=3,
+        help="Lehmann-Rabin ring size (default: %(default)s)",
+    )
+    early_stop = shared()
+    early_stop.add_argument(
+        "--early-stop", action="store_true", dest="early_stop",
+        help="stop a pair early once its confidence bounds decide it",
+    )
+
+    # The sampling subcommands' run plumbing: workers, fault tolerance,
+    # contract guards and evaluation engine.
+    sampling = shared(seed)
+    sampling.add_argument(
+        "--workers", type=int, default=1,
+        help="sampling worker processes (1 = sequential; results "
+             "are identical for every count)",
+    )
+    sampling.add_argument(
+        "--progress", action="store_true",
+        help="render a live progress line (tasks done, rate, ETA, "
+             "retry/quarantine/degradation counters) on stderr; "
+             "stdout stays byte-identical with or without it",
+    )
+    sampling.add_argument(
+        "--timeout", type=float, default=None, metavar="SECONDS",
+        help="per-task wall-clock timeout; hung workers are "
+             "terminated and the task is retried",
+    )
+    sampling.add_argument(
+        "--retries", type=int, default=DEFAULT_RETRIES, metavar="N",
+        help="retries per task after a worker crash, timeout, or "
+             "corrupted result (default: %(default)s)",
+    )
+    sampling.add_argument(
+        "--checkpoint", metavar="FILE.jsonl", default=None,
+        help="append completed task results to a crash-safe JSONL "
+             "checkpoint",
+    )
+    sampling.add_argument(
+        "--resume", action="store_true",
+        help="skip tasks already recorded in --checkpoint; the "
+             "resumed report is bit-identical to an uninterrupted run",
+    )
+    sampling.add_argument(
+        "--inject-faults", metavar="SPEC", default=None,
+        help="deterministically inject worker failures, e.g. "
+             "'crash=0.1,hang=0.05,corrupt=0.02,seed=7' "
+             "(see docs/robustness.md)",
+    )
+    sampling.add_argument(
+        "--guards", choices=("off", "warn", "strict"), default="warn",
+        help="model-contract enforcement: 'off' skips all checks, "
+             "'warn' reports violations once per site on stderr, "
+             "'strict' quarantines the offending (adversary, start) "
+             "pair and exits with status 4 (default: %(default)s; "
+             "see docs/contracts.md)",
+    )
+    sampling.add_argument(
+        "--fuel", metavar="SPEC", default=None,
+        help="per-execution budget surfacing nontermination, e.g. "
+             "'5000' (steps) or 'steps=5000,seconds=2.5'; requires "
+             "--guards warn or strict",
+    )
+    sampling.add_argument(
+        "--engine",
+        choices=("tree", "batched", "batched-pure", "auto"),
+        default="tree",
+        help="evaluation strategy: 'tree' walks the live object "
+             "graph, 'batched' interns the reachable state space "
+             "once, flattens it into arrays, and draws uniforms in "
+             "blocks (numpy-accelerated when available; errors "
+             "when the --state-budget is exceeded), "
+             "'batched-pure' is 'batched' with the numpy filler "
+             "forced off, 'auto' prefers the batched walk when the "
+             "space fits and falls back to the tree walk otherwise; "
+             "reports are byte-identical whichever engine ran "
+             "(default: %(default)s; see docs/statespace.md)",
+    )
+    sampling.add_argument(
+        "--state-budget", type=int, default=None, metavar="N",
+        dest="state_budget",
+        help="cap on interned states (and per-adversary product "
+             "nodes) for --engine batched/batched-pure/auto "
+             "(default: 200000)",
+    )
+    # verify, check, chain and expected-time default to 80 samples;
+    # stats and sweep to 40.
+    checks = (model_n, samples(80), sampling)
+    samples_40 = samples(40)
+    store = shared()
+    store.add_argument(
+        "--store", metavar="DIR", default=None,
+        help="job store location (default: $REPRO_SERVICE_DIR or "
+             ".repro/service)",
+    )
+    corpus_file = shared()
+    corpus_file.add_argument(
+        "--corpus-file", metavar="FILE.jsonl", default=None,
+        dest="corpus_file",
+        help="fuzz-emitted / user-added entries replayed alongside "
+             "the built-ins (default: .repro/corpus/extra.jsonl)",
+    )
+
+    def add_command(name, *parents, **kwargs):
+        return sub.add_parser(name, parents=[traceable, *parents], **kwargs)
 
     add_command("prove", help="print the Section 6.2 derivation")\
         .set_defaults(func=_cmd_prove)
 
-    p = add_command("verify", help="Monte-Carlo check of all statements")
-    common(p)
-    p.set_defaults(func=_cmd_verify)
+    add_command(
+        "verify", *checks, help="Monte-Carlo check of all statements"
+    ).set_defaults(func=_cmd_verify)
 
     p = add_command(
-        "check", help="Monte-Carlo check of one statement (see --prop)"
+        "check", *checks, early_stop, json_flag,
+        help="Monte-Carlo check of one statement (see --prop)",
     )
-    common(p)
     p.add_argument(
         "--prop", default=None,
         help="leaf proposition name (e.g. A.14) or 'composed' "
              "(default: the model's own, 'composed' for lr)",
     )
-    p.add_argument(
-        "--early-stop", action="store_true", dest="early_stop",
-        help="stop a pair early once its confidence bounds decide it",
-    )
-    p.add_argument(
-        "--json", action="store_true",
-        help="print the full report as canonical JSON",
-    )
     p.set_defaults(func=_cmd_check)
 
+    add_command(
+        "chain", *checks, early_stop,
+        help="derive and check the composed T --13-->_1/8 C chain",
+    ).set_defaults(func=_cmd_chain)
+
+    add_command(
+        "exact", lr_n, seed, states(6),
+        help="exact round-synchronous minima",
+    ).set_defaults(func=_cmd_exact)
+
+    add_command(
+        "appendix", lr_n, help="check the appendix lemmas exactly"
+    ).set_defaults(func=_cmd_appendix)
+
+    add_command(
+        "expected-time", *checks, help="measured time-to-critical"
+    ).set_defaults(func=_cmd_expected_time)
+
     p = add_command(
-        "chain", help="derive and check the composed T --13-->_1/8 C chain"
+        "sweep", model, samples_40, sampling,
+        help="instance-size and deadline ablations",
     )
-    common(p)
-    p.add_argument(
-        "--early-stop", action="store_true", dest="early_stop",
-        help="stop a pair early once its confidence bounds decide it",
-    )
-    p.set_defaults(func=_cmd_chain)
-
-    p = add_command("exact", help="exact round-synchronous minima")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--states", type=int, default=6,
-                   help="sampled start states per region")
-    p.set_defaults(func=_cmd_exact)
-
-    p = add_command("appendix", help="check the appendix lemmas exactly")
-    p.add_argument("--n", type=int, default=3)
-    p.set_defaults(func=_cmd_appendix)
-
-    p = add_command("expected-time", help="measured time-to-critical")
-    common(p)
-    p.set_defaults(func=_cmd_expected_time)
-
-    p = add_command("sweep", help="instance-size and deadline ablations")
-    model_flag(p)
     p.add_argument(
         "--sizes", default=None,
         help="comma-separated instance sizes (default: the model's "
              "own, 3,4,5 for lr)",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=40)
-    p.add_argument("--workers", type=int, default=1)
-    robust(p)
     p.set_defaults(func=_cmd_sweep)
-
-    p = add_command("election", help="the leader-election case study")
-    p.add_argument("--n", type=int, default=4)
-    p.set_defaults(func=_cmd_election)
-
-    p = add_command("benor", help="the Ben-Or consensus case study")
-    p.add_argument("--n", type=int, default=3)
-    p.set_defaults(func=_cmd_benor)
 
     add_command(
         "independence", help="Example 4.1 / Proposition 4.2, exactly"
     ).set_defaults(func=_cmd_independence)
 
-    p = sub.add_parser(
-        "models",
+    sub.add_parser(
+        "models", parents=[json_flag],
         help="list the registered case-study models "
              "(see docs/models.md)",
-    )
-    p.add_argument(
-        "--json", action="store_true",
-        help="print the model table as canonical JSON",
-    )
-    p.set_defaults(func=_cmd_models, manages_tracing=True,
+    ).set_defaults(func=_cmd_models, manages_tracing=True,
                    skip_manifest=True)
 
     p = add_command(
@@ -1005,42 +968,28 @@ def build_parser() -> argparse.ArgumentParser:
                         "(about 40 seconds)")
     p.set_defaults(func=_cmd_exhaustive)
 
-    p = add_command(
-        "all", help="the fast exact suite: prove, exact, appendix, "
+    add_command(
+        "all", lr_n, seed, states(5),
+        help="the fast exact suite: prove, exact, appendix, "
         "independence",
-    )
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--states", type=int, default=5)
-    p.set_defaults(func=_cmd_all)
+    ).set_defaults(func=_cmd_all)
 
     p = add_command(
-        "audit",
+        "audit", model_n, json_flag,
         help="static Definition 2.1 audit of the selected model's "
              "automaton",
-    )
-    model_flag(p)
-    p.add_argument(
-        "--n", type=int, default=None,
-        help="instance size (default: the model's own, 3 for lr)",
     )
     p.add_argument(
         "--horizon", type=int, default=2000,
         help="cap on reachable states to expand before reporting "
              "'unknown' (default: %(default)s)",
     )
-    p.add_argument(
-        "--json", action="store_true",
-        help="print the full audit report as canonical JSON",
-    )
     p.set_defaults(func=_cmd_audit)
 
-    p = add_command(
-        "stats",
+    add_command(
+        "stats", model_n, samples_40, sampling,
         help="instrumented Lehmann-Rabin run: span tree and metric tables",
-    )
-    common(p, samples_default=40)
-    p.set_defaults(func=_cmd_stats, manages_tracing=True)
+    ).set_defaults(func=_cmd_stats, manages_tracing=True)
 
     p = add_command(
         "trace",
@@ -1059,36 +1008,27 @@ def build_parser() -> argparse.ArgumentParser:
         "(see docs/observability.md)",
     )
     runs_sub = p.add_subparsers(dest="runs_cmd", required=True)
-
-    def runs_store_flags(rp):
-        rp.add_argument(
-            "--runs-dir", metavar="DIR", default=None, dest="runs_dir",
-            help="manifest store location (default: $REPRO_RUNS_DIR or "
-                 ".repro/runs)",
-        )
-        rp.add_argument(
-            "--json", action="store_true",
-            help="print the result as canonical JSON",
-        )
-
-    rp = runs_sub.add_parser("list", help="one row per recorded run")
-    runs_store_flags(rp)
-    rp = runs_sub.add_parser("show", help="one manifest, fully expanded")
-    rp.add_argument("id", help="run id (any unique prefix)")
-    runs_store_flags(rp)
+    runs_store = shared(runs_dir, json_flag)
+    runs_sub.add_parser(
+        "list", parents=[runs_store], help="one row per recorded run"
+    )
     rp = runs_sub.add_parser(
-        "diff", help="metric and timing deltas between two runs "
+        "show", parents=[runs_store], help="one manifest, fully expanded"
+    )
+    rp.add_argument("id", help="run id (any unique prefix)")
+    rp = runs_sub.add_parser(
+        "diff", parents=[runs_store],
+        help="metric and timing deltas between two runs "
         "(meaningful for runs of the same scope)",
     )
     rp.add_argument("old", help="baseline run id (any unique prefix)")
     rp.add_argument("new", help="comparison run id (any unique prefix)")
-    runs_store_flags(rp)
     p.set_defaults(
         func=_cmd_runs, manages_tracing=True, skip_manifest=True
     )
 
     p = sub.add_parser(
-        "profile",
+        "profile", parents=[runs_dir],
         help="fold a recorded span tree into per-phase self/cumulative "
         "hotspots (from a --trace-out JSONL file or a run manifest)",
     )
@@ -1099,11 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--run", metavar="ID", default=None,
         help="profile the span aggregate stored in this run's manifest",
-    )
-    p.add_argument(
-        "--runs-dir", metavar="DIR", default=None, dest="runs_dir",
-        help="manifest store location for --run (default: "
-             "$REPRO_RUNS_DIR or .repro/runs)",
     )
     p.add_argument(
         "--top", type=int, default=20, metavar="N",
@@ -1125,55 +1060,34 @@ def build_parser() -> argparse.ArgumentParser:
         "(see docs/corpus.md)",
     )
     corpus_sub = p.add_subparsers(dest="corpus_cmd", required=True)
-
-    def corpus_file_flag(cp):
-        cp.add_argument(
-            "--corpus-file", metavar="FILE.jsonl", default=None,
-            dest="corpus_file",
-            help="fuzz-emitted / user-added entries replayed alongside "
-                 "the built-ins (default: .repro/corpus/extra.jsonl)",
-        )
-
+    corpus_sub.add_parser(
+        "list", parents=[corpus_file, json_flag],
+        help="one row per corpus entry (built-in and file)",
+    ).set_defaults(skip_manifest=True)
     cp = corpus_sub.add_parser(
-        "list", help="one row per corpus entry (built-in and file)"
-    )
-    corpus_file_flag(cp)
-    cp.add_argument(
-        "--json", action="store_true",
-        help="print the entry table as canonical JSON",
-    )
-    cp.set_defaults(skip_manifest=True)
-
-    cp = corpus_sub.add_parser(
-        "run", parents=[traceable],
+        "run", parents=[traceable, corpus_file, json_flag],
         help="replay entries across engines x guard modes x worker "
              "counts, asserting identical classification",
     )
-    corpus_file_flag(cp)
     cp.add_argument(
         "--entry", metavar="NAME", default=None,
         help="replay only the named entry (default: all)",
     )
-    cp.add_argument(
-        "--json", action="store_true",
-        help="print the full matrix report as canonical JSON",
-    )
-
     cp = corpus_sub.add_parser(
-        "add", help="validate fuzz finding records and append them to "
-                    "the corpus file",
+        "add", parents=[corpus_file],
+        help="validate fuzz finding records and append them to "
+             "the corpus file",
     )
     cp.add_argument(
         "finding", metavar="FINDINGS.jsonl",
         help="a JSONL file of finding records (e.g. from "
              "'repro fuzz --emit')",
     )
-    corpus_file_flag(cp)
     cp.set_defaults(skip_manifest=True)
     p.set_defaults(func=_cmd_corpus)
 
     p = add_command(
-        "fuzz",
+        "fuzz", json_flag,
         help="deterministic differential fuzzing of the sampling "
         "engines (see docs/corpus.md)",
     )
@@ -1210,34 +1124,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="append ready-to-commit corpus records for any findings "
              "(replay with 'repro corpus run --corpus-file FILE.jsonl')",
     )
-    p.add_argument(
-        "--json", action="store_true",
-        help="print the campaign report as canonical JSON",
-    )
     p.set_defaults(func=_cmd_fuzz)
 
-    def service_store_flag(sp):
-        sp.add_argument(
-            "--store", metavar="DIR", default=None,
-            help="job store location (default: $REPRO_SERVICE_DIR or "
-                 ".repro/service)",
-        )
-
     p = sub.add_parser(
-        "submit",
+        "submit", parents=[store, json_flag],
         help="validate a verification command and append it to the "
              "durable job store (see docs/service.md)",
     )
-    service_store_flag(p)
     p.add_argument(
         "--max-attempts", type=int, default=3, metavar="N",
         dest="max_attempts",
         help="execution failures before the job is marked failed "
              "(default: %(default)s)",
-    )
-    p.add_argument(
-        "--json", action="store_true",
-        help="print the submitted job record as canonical JSON",
     )
     p.add_argument(
         "spec", nargs=argparse.REMAINDER, metavar="command ...",
@@ -1247,11 +1145,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_submit, skip_manifest=True)
 
     p = sub.add_parser(
-        "serve", parents=[traceable],
+        "serve", parents=[traceable, store, json_flag],
         help="run supervised workers over the job store until drained "
              "or stopped (see docs/service.md)",
     )
-    service_store_flag(p)
     p.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="worker processes to supervise (default: %(default)s)",
@@ -1296,10 +1193,6 @@ def build_parser() -> argparse.ArgumentParser:
              "'kill=0.3,steal=0.2,torn=0.1,cache=0.1,seed=7' "
              "(see docs/service.md)",
     )
-    p.add_argument(
-        "--json", action="store_true",
-        help="print the serve summary as canonical JSON",
-    )
     p.set_defaults(func=_cmd_serve, skip_manifest=True)
 
     p = sub.add_parser(
@@ -1308,27 +1201,17 @@ def build_parser() -> argparse.ArgumentParser:
              "(see docs/service.md)",
     )
     jobs_sub = p.add_subparsers(dest="jobs_cmd", required=True)
-    jp = jobs_sub.add_parser("list", help="one row per stored job")
-    service_store_flag(jp)
-    jp.add_argument(
-        "--json", action="store_true",
-        help="print the job table as canonical JSON",
+    jobs_store = shared(store, json_flag)
+    job_id = shared(jobs_store)
+    job_id.add_argument("id", help="job id (any unique prefix)")
+    jobs_sub.add_parser(
+        "list", parents=[jobs_store], help="one row per stored job"
     )
-    jp = jobs_sub.add_parser("show", help="one job, fully expanded")
-    jp.add_argument("id", help="job id (any unique prefix)")
-    service_store_flag(jp)
-    jp.add_argument(
-        "--json", action="store_true",
-        help="print the job record as canonical JSON",
+    jobs_sub.add_parser(
+        "show", parents=[job_id], help="one job, fully expanded"
     )
-    jp = jobs_sub.add_parser(
-        "cancel", help="cancel a pending or running job"
-    )
-    jp.add_argument("id", help="job id (any unique prefix)")
-    service_store_flag(jp)
-    jp.add_argument(
-        "--json", action="store_true",
-        help="print the cancelled job record as canonical JSON",
+    jobs_sub.add_parser(
+        "cancel", parents=[job_id], help="cancel a pending or running job"
     )
     p.set_defaults(func=_cmd_jobs, skip_manifest=True)
 
@@ -1355,65 +1238,19 @@ def _cmd_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    import json
     from pathlib import Path
 
     from repro import corpus
     from repro.analysis.reporting import banner, format_table
-    from repro.errors import VerificationError
 
     corpus_file = Path(
         getattr(args, "corpus_file", None) or corpus.DEFAULT_CORPUS_FILE
     )
 
-    if args.corpus_cmd == "list":
-        try:
-            entries = list(corpus.builtin_entries()) + list(
-                corpus.load_file_entries(corpus_file)
-            )
-        except VerificationError as error:
-            print(f"repro: error: {error}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(
-                [
-                    {
-                        "name": entry.name,
-                        "source": entry.source,
-                        "kind": entry.kind,
-                        "expected_class": entry.expected_class,
-                        "engines": list(entry.engines),
-                        "workers": list(entry.workers),
-                        "description": entry.description,
-                    }
-                    for entry in entries
-                ],
-                sort_keys=True, indent=2,
-            ))
-            return 0
-        print(banner("Defect corpus"))
-        print(format_table(
-            ("entry", "kind", "expected class", "source"),
-            [
-                (
-                    entry.name,
-                    entry.kind,
-                    entry.expected_class or "(agreement)",
-                    entry.source,
-                )
-                for entry in entries
-            ],
-        ))
-        return 0
-
     if args.corpus_cmd == "add":
         source = Path(args.finding)
         if not source.exists():
-            print(
-                f"repro: error: finding file {source} does not exist",
-                file=sys.stderr,
-            )
-            return 2
+            raise VerificationError(f"finding file {source} does not exist")
         records = []
         try:
             for lineno, line in enumerate(
@@ -1433,13 +1270,9 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
                 corpus.entry_from_record(record, source=str(source)).build()
                 records.append(record)
         except (json.JSONDecodeError, VerificationError, KeyError) as error:
-            print(f"repro: error: bad finding record: {error}",
-                  file=sys.stderr)
-            return 2
+            raise VerificationError(f"bad finding record: {error}") from None
         if not records:
-            print(f"repro: error: no records found in {source}",
-                  file=sys.stderr)
-            return 2
+            raise VerificationError(f"no records found in {source}")
         from repro import durable_io
 
         corpus_file.parent.mkdir(parents=True, exist_ok=True)
@@ -1452,19 +1285,45 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         )
         return 0
 
+    entries = list(corpus.builtin_entries()) + list(
+        corpus.load_file_entries(corpus_file)
+    )
+    if args.corpus_cmd == "list":
+        if args.json:
+            _print_json([
+                {
+                    "name": entry.name,
+                    "source": entry.source,
+                    "kind": entry.kind,
+                    "expected_class": entry.expected_class,
+                    "engines": list(entry.engines),
+                    "workers": list(entry.workers),
+                    "description": entry.description,
+                }
+                for entry in entries
+            ])
+            return 0
+        print(banner("Defect corpus"))
+        print(format_table(
+            ("entry", "kind", "expected class", "source"),
+            [
+                (
+                    entry.name,
+                    entry.kind,
+                    entry.expected_class or "(agreement)",
+                    entry.source,
+                )
+                for entry in entries
+            ],
+        ))
+        return 0
+
     # corpus run
-    try:
-        entries = list(corpus.builtin_entries()) + list(
-            corpus.load_file_entries(corpus_file)
-        )
-        if args.entry:
-            entries = [corpus.entry_by_name(args.entry, tuple(entries))]
-    except VerificationError as error:
-        print(f"repro: error: {error}", file=sys.stderr)
-        return 2
+    if args.entry:
+        entries = [corpus.entry_by_name(args.entry, tuple(entries))]
     report = corpus.run_corpus(entries)
     if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+        _print_json(report.to_dict())
     else:
         print(report.describe())
         for problem in report.problems:
@@ -1473,23 +1332,17 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    import json
     from pathlib import Path
 
     from repro import corpus
-    from repro.errors import VerificationError
 
-    try:
-        report = corpus.run_fuzz(
-            seed=args.seed,
-            budget=args.budget,
-            workers=args.workers,
-            sabotage=args.sabotage,
-            model=args.model,
-        )
-    except VerificationError as error:
-        print(f"repro: error: {error}", file=sys.stderr)
-        return 2
+    report = corpus.run_fuzz(
+        seed=args.seed,
+        budget=args.budget,
+        workers=args.workers,
+        sabotage=args.sabotage,
+        model=args.model,
+    )
     if args.emit and report.findings:
         from repro import durable_io
 
@@ -1502,7 +1355,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                     corpus.corpus_record(finding, seed=args.seed)
                 )
     if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+        _print_json(report.to_dict())
     else:
         print(report.describe())
         for finding in report.findings:
@@ -1515,24 +1368,16 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    import json
-
     from repro import service
-    from repro.errors import VerificationError
 
     spec_argv = list(args.spec)
     if spec_argv and spec_argv[0] == "--":
         spec_argv = spec_argv[1:]
-    try:
-        spec = service.JobSpec.parse(spec_argv)
-        store = service.JobStore(service.resolve_store_dir(args.store))
-        with store:
-            view = store.submit(spec, max_attempts=args.max_attempts)
-    except VerificationError as error:
-        print(f"repro: error: {error}", file=sys.stderr)
-        return 2
+    spec = service.JobSpec.parse(spec_argv)
+    with service.JobStore(service.resolve_store_dir(args.store)) as store:
+        view = store.submit(spec, max_attempts=args.max_attempts)
     if args.json:
-        print(json.dumps(view.to_dict(), sort_keys=True, indent=2))
+        _print_json(view.to_dict())
     else:
         print(
             f"submitted {view.job_id} "
@@ -1542,32 +1387,24 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
     from repro import service
-    from repro.errors import VerificationError
     from repro.parallel.faults import FaultPlan
 
-    try:
-        if args.inject_faults:
-            FaultPlan.parse(args.inject_faults)  # fail fast on typos
-        supervisor = service.Supervisor(
-            root=service.resolve_store_dir(args.store),
-            workers=args.workers,
-            lease_seconds=args.lease,
-            drain=args.drain,
-            fault_spec=args.inject_faults,
-            poll_seconds=args.poll,
-            backoff_seconds=args.backoff,
-            max_restarts=args.max_restarts,
-            healthy_seconds=args.healthy_seconds,
-        )
-        summary = supervisor.run()
-    except VerificationError as error:
-        print(f"repro: error: {error}", file=sys.stderr)
-        return 2
+    if args.inject_faults:
+        FaultPlan.parse(args.inject_faults)  # fail fast on typos
+    summary = service.Supervisor(
+        root=service.resolve_store_dir(args.store),
+        workers=args.workers,
+        lease_seconds=args.lease,
+        drain=args.drain,
+        fault_spec=args.inject_faults,
+        poll_seconds=args.poll,
+        backoff_seconds=args.backoff,
+        max_restarts=args.max_restarts,
+        healthy_seconds=args.healthy_seconds,
+    ).run()
     if args.json:
-        print(json.dumps(summary, sort_keys=True, indent=2))
+        _print_json(summary)
     else:
         states = ", ".join(
             f"{state}={count}"
@@ -1584,53 +1421,40 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_jobs(args: argparse.Namespace) -> int:
-    import json
-
     from repro import service
-    from repro.errors import VerificationError
     from repro.obs.sinks import _table
 
-    store = service.JobStore(service.resolve_store_dir(args.store))
-    try:
-        with store:
-            if args.jobs_cmd == "list":
-                views = sorted(
-                    store.jobs().values(), key=lambda view: view.seq
-                )
-                if args.json:
-                    print(json.dumps(
-                        [view.to_dict() for view in views],
-                        sort_keys=True, indent=2,
-                    ))
-                elif not views:
-                    print("jobs: none submitted")
-                else:
-                    print(_table(
-                        ("job", "state", "command", "claims", "fails",
-                         "exit", "cached"),
-                        [
-                            (
-                                view.job_id,
-                                view.state,
-                                " ".join(view.argv)[:48],
-                                view.claims,
-                                view.failures,
-                                "" if view.exit_status is None
-                                else view.exit_status,
-                                "yes" if view.cached else "",
-                            )
-                            for view in views
-                        ],
-                    ))
-                return 0
-            view = store.find(args.id)
-            if args.jobs_cmd == "cancel":
-                view = store.cancel(view.job_id)
-    except VerificationError as error:
-        print(f"repro: error: {error}", file=sys.stderr)
-        return 2
+    with service.JobStore(service.resolve_store_dir(args.store)) as store:
+        if args.jobs_cmd == "list":
+            views = sorted(store.jobs().values(), key=lambda view: view.seq)
+            if args.json:
+                _print_json([view.to_dict() for view in views])
+            elif not views:
+                print("jobs: none submitted")
+            else:
+                print(_table(
+                    ("job", "state", "command", "claims", "fails",
+                     "exit", "cached"),
+                    [
+                        (
+                            view.job_id,
+                            view.state,
+                            " ".join(view.argv)[:48],
+                            view.claims,
+                            view.failures,
+                            "" if view.exit_status is None
+                            else view.exit_status,
+                            "yes" if view.cached else "",
+                        )
+                        for view in views
+                    ],
+                ))
+            return 0
+        view = store.find(args.id)
+        if args.jobs_cmd == "cancel":
+            view = store.cancel(view.job_id)
     if args.json:
-        print(json.dumps(view.to_dict(), sort_keys=True, indent=2))
+        _print_json(view.to_dict())
     else:
         record = view.to_dict()
         record["argv"] = " ".join(view.argv)
@@ -1657,38 +1481,19 @@ _NON_SCOPE_KEYS = frozenset({
 def _manifest_config(args: argparse.Namespace) -> dict:
     """The result-affecting configuration a manifest's scope hashes.
 
-    The model-dependent flags the parser leaves as ``None`` (``--n``,
-    ``--prop``, ``--sizes``) are resolved to the selected model's
-    defaults, so a run spelling out a default and one omitting it share
-    a scope fingerprint — and the job service's result cache is keyed
-    per model.
+    Every caller resolves the model first: :func:`_resolve_model` fills
+    the model-dependent flags the parser leaves as ``None`` (``--n``,
+    ``--prop``, ``--sizes``) in place, so a run spelling out a default
+    and one omitting it share a scope fingerprint — and the job
+    service's result cache is keyed per model.
     """
-    config = {
+    return {
         key: value
         for key, value in sorted(vars(args).items())
         if key not in _NON_SCOPE_KEYS
         and not key.startswith("final_")
         and not callable(value)
     }
-    if config.get("model"):
-        from repro.errors import UnknownModelError
-        from repro.models import get_model
-
-        try:
-            model = get_model(config["model"])
-        except UnknownModelError:
-            # The run itself already failed with a usage error; hash
-            # the unresolved flags rather than fail manifest writing.
-            return config
-        if "n" in config and config["n"] is None:
-            config["n"] = model.n_default
-        if "prop" in config and config["prop"] is None:
-            config["prop"] = model.default_prop
-        if "sizes" in config and config["sizes"] is None:
-            config["sizes"] = ",".join(
-                str(size) for size in model.sweep_sizes
-            )
-    return config
 
 
 def _maybe_write_manifest(
@@ -1759,9 +1564,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     its fault-tolerance budget exits with status 3 (completed work is
     already checkpointed when ``--checkpoint`` was given); a
     model-contract violation that escapes quarantine (strict guards on
-    a non-pooled code path) exits with status 4.  Whatever the outcome,
-    a provenance manifest is appended to the run store unless
-    ``--no-manifest`` was given (``repro runs`` inspects the store).
+    a non-pooled code path) exits with status 4; any other
+    :class:`~repro.errors.VerificationError` — a flag value the run
+    cannot use, an unknown model or proposition, a blown state budget —
+    exits with status 2.  Whatever the outcome, a provenance manifest
+    is appended to the run store unless ``--no-manifest`` was given
+    (``repro runs`` inspects the store).
     """
     import time
     from datetime import datetime, timezone
@@ -1771,8 +1579,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ContractViolation,
         PoolFaultError,
         ServiceError,
-        StateBudgetExceeded,
-        UnknownModelError,
     )
 
     parser = build_parser()
@@ -1783,12 +1589,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code = _dispatch(args)
     except ContractViolation as error:
+        # Before VerificationError: QuotientInvarianceError is both.
         print(f"repro: contract violation: {error}", file=sys.stderr)
         code = EXIT_CONTRACT
-    except UnknownModelError as error:
-        print(f"repro: error: {error}", file=sys.stderr)
-        code = 2
-    except StateBudgetExceeded as error:
+    except VerificationError as error:
         print(f"repro: error: {error}", file=sys.stderr)
         code = 2
     except (PoolFaultError, CheckpointError, ServiceError) as error:

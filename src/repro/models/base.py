@@ -10,8 +10,11 @@ subsystem works on any registered case study; the registry in
 :mod:`repro.models.registry` maps ``--model`` names to instances.
 
 Only code under :mod:`repro.models` and :mod:`repro.algorithms` may
-import a concrete algorithm package (enforced by ``tools/lint.py``); the
-rest of the stack reaches algorithms exclusively through this protocol.
+import a registered case study's algorithm package (enforced by
+``tools/lint.py``); the rest of the stack reaches them exclusively
+through this protocol.  ``repro.algorithms.coins`` (Example 4.1) and
+``repro.algorithms.ordered`` are not registered models and stay
+outside the rule.
 """
 
 from __future__ import annotations

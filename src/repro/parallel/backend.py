@@ -42,7 +42,7 @@ from repro.probability.stats import (
     clopper_pearson_lower,
     clopper_pearson_upper,
 )
-from repro.statespace.engine import Engine, TreeEngine
+from repro.statespace.engine import Engine
 
 State = TypeVar("State", bound=Hashable)
 
@@ -70,18 +70,16 @@ class ArrowPairContext:
     confidence: float
     early_stop: bool
     chunk_size: int
+    #: The evaluation engine (``repro.statespace.engine``).  Compiled
+    #: tables and their flat arrays ride here, fork-inherited, so
+    #: workers never recompile or reflatten.
+    engine: Engine
     #: The schema the adversaries are declared to range over; used by the
     #: guard layer for membership and execution-closure spot checks.
     schema: object = None
     #: Contract-check settings.  Part of the fork-inherited context, so
     #: pooled workers enforce identically to ``workers=1``.
     guards: GuardConfig = OFF_CONFIG
-    #: The evaluation engine (``repro.statespace.engine``).  Compiled
-    #: tables and their flat arrays ride here, fork-inherited, so
-    #: workers never recompile or reflatten.  ``None`` means "build a
-    #: tree engine lazily" (kept for callers that assemble contexts by
-    #: hand).
-    engine: Optional[Engine] = None
 
 
 @dataclass(frozen=True)
@@ -141,8 +139,6 @@ def execute_pair(context: ArrowPairContext, task: PairTask) -> PairOutcome:
     """
     adversary_name, adversary = context.adversaries[task.adversary_index]
     engine = context.engine
-    if engine is None:
-        engine = _tree_engine_for_pairs(context)
     rng = rng_from_seed(task.seed)
     chunk_size = (
         context.chunk_size if context.early_stop else context.samples_per_pair
@@ -204,20 +200,6 @@ def execute_pair(context: ArrowPairContext, task: PairTask) -> PairOutcome:
     )
 
 
-def _tree_engine_for_pairs(context: ArrowPairContext) -> TreeEngine:
-    """The default tree engine for a hand-assembled pair context."""
-    return TreeEngine(
-        automaton=context.automaton,
-        adversaries=context.adversaries,
-        start_states=context.start_states,
-        target=context.target,
-        time_of=context.time_of,
-        time_bound=context.time_bound,
-        max_steps=context.max_steps,
-        guards=context.guards,
-    )
-
-
 # ----------------------------------------------------------------------
 # Time-to-target per-start tasks
 # ----------------------------------------------------------------------
@@ -234,11 +216,11 @@ class TimeStartContext:
     time_of: Callable[[object], Fraction]
     samples_per_start: int
     max_steps: int
+    #: Evaluation engine, as in :class:`ArrowPairContext`.
+    engine: Engine
     adversary_name: str = ""
     schema: object = None
     guards: GuardConfig = OFF_CONFIG
-    #: Evaluation engine, as in :class:`ArrowPairContext`.
-    engine: Optional[Engine] = None
 
 
 @dataclass(frozen=True)
@@ -274,8 +256,6 @@ def execute_time_start(
     """
     start = context.start_states[task.start_index]
     engine = context.engine
-    if engine is None:
-        engine = _tree_engine_for_time(context)
     rng = rng_from_seed(task.seed)
     guards = context.guards
     closure_pending = guards.checking and context.schema is not None
@@ -316,20 +296,6 @@ def execute_time_start(
         )
     return TimeStartOutcome(
         index=task.index, times=tuple(times), unreached=unreached
-    )
-
-
-def _tree_engine_for_time(context: TimeStartContext) -> TreeEngine:
-    """The default tree engine for a hand-assembled time context."""
-    return TreeEngine(
-        automaton=context.automaton,
-        adversaries=((context.adversary_name, context.adversary),),
-        start_states=context.start_states,
-        target=context.target,
-        time_of=context.time_of,
-        time_bound=None,
-        max_steps=context.max_steps,
-        guards=context.guards,
     )
 
 

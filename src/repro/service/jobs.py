@@ -1,11 +1,12 @@
 """Job specifications: validated CLI invocations with a cache scope.
 
 A job is nothing more exotic than an ordinary ``repro`` command line.
-:meth:`JobSpec.parse` validates the argv against the real CLI parser —
-a spec that would die with a usage error at run time is rejected at
-submit time instead — and computes the job's *scope*: the run-manifest
-scope fingerprint (:func:`repro.obs.manifest.scope_fingerprint`) of
-the command plus its result-affecting configuration.
+:meth:`JobSpec.parse` validates the argv against the real CLI parser
+and the sampling commands' own set-up — a spec that would die with a
+usage error at run time is rejected at submit time instead — and
+computes the job's *scope*: the run-manifest scope fingerprint
+(:func:`repro.obs.manifest.scope_fingerprint`) of the command plus its
+result-affecting configuration.
 
 The scope is the service's unit of work identity.  Because the CLI
 excludes byte-identical-by-construction knobs (``--workers``,
@@ -49,8 +50,11 @@ class JobSpec:
 
         Raises :class:`~repro.errors.VerificationError` for an empty
         spec, a command outside :data:`ALLOWED_COMMANDS`, a ``corpus``
-        subcommand other than ``run``, or anything the CLI parser
-        itself rejects (the parser's own message is preserved).
+        subcommand other than ``run``, anything the CLI parser itself
+        rejects (the parser's own message is preserved), or a flag
+        value the sampling command's set-up rejects (an unknown model
+        or proposition, an out-of-range size, contradictory
+        fault-tolerance or guard flags).
         """
         from repro import cli
         from repro.obs import manifest as mf
@@ -84,5 +88,12 @@ class JobSpec:
                 f"{getattr(args, 'corpus_cmd', '?')}' mutates or lists "
                 "the registry locally)"
             )
+        if command != "corpus":
+            # Every other allowed command samples.  Its set-up checks
+            # the flags the run would reject, writes nothing (the
+            # checkpoint opens lazily) and fills in the model defaults
+            # the scope hashes.
+            with cli._sampling_run(args):
+                pass
         scope = mf.scope_fingerprint(command, cli._manifest_config(args))
         return cls(argv=argv, command=command, scope=scope)

@@ -217,13 +217,18 @@ def _finish_one(
             store.fail(claimed.job_id, worker_id, failure)
             summary["failed"] += 1
         else:
-            cache.put(claimed.scope, {
-                "argv": list(claimed.argv),
-                "command": claimed.argv[0] if claimed.argv else "",
-                "scope": claimed.scope,
-                "exit_status": code,
-                "stdout": stdout,
-            })
+            # Exit status 2 is a usage error of this command line, not a
+            # result of its scope: a flag outside the scope (--workers 0)
+            # can cause it, and the jobs sharing the scope must not be
+            # served that error from the cache.
+            if code != 2:
+                cache.put(claimed.scope, {
+                    "argv": list(claimed.argv),
+                    "command": claimed.argv[0] if claimed.argv else "",
+                    "scope": claimed.scope,
+                    "exit_status": code,
+                    "stdout": stdout,
+                })
             store.complete(claimed.job_id, worker_id, code, cached=False)
             summary["executed"] += 1
     except LeaseExpiredError:

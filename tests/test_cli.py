@@ -88,15 +88,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "adversary" in out and "FAILS" not in out
 
-    def test_election(self, capsys):
-        assert main(["election", "--n", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "A1 | A2 | A3" in out
+    def test_chain_election(self, capsys):
+        argv = ["chain", "--model", "election", "--n", "3", "--samples", "4"]
+        assert main(argv) == 0
+        assert "A1 | A2 | A3" in capsys.readouterr().out
 
-    def test_benor(self, capsys):
-        assert main(["benor"]) == 0
-        out = capsys.readouterr().out
-        assert "Init --10-->_1/8 Decided" in out
+    def test_chain_benor(self, capsys):
+        assert main(["chain", "--model", "benor", "--samples", "4"]) == 0
+        assert "Init --10-->_1/8 Decided" in capsys.readouterr().out
 
     def test_independence(self, capsys):
         assert main(["independence"]) == 0
@@ -159,3 +158,143 @@ class TestModelsFrontEnd:
         assert main([*argv, "--model", "lr"]) == 0
         explicit = capsys.readouterr().out
         assert implicit == explicit
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("check --resume", "requires a checkpoint"),
+    ("check --guards off --fuel 10", "require guard mode 'warn' or"),
+    ("check --inject-faults hang=0.5", "requires a per-task timeout"),
+    ("check --n 1", "needs at least two processes, got 1"),
+    ("check --samples 0", "samples_per_pair must be positive"),
+    ("check --workers 0", "workers must be >= 1, got 0"),
+    ("check --engine batched --fuel 10", "incompatible with --fuel"),
+    ("sweep --sizes 3,x", "comma-separated integers, got '3,x'"),
+])
+def test_unusable_flag_values_exit_2(argv, message, capsys):
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ") and err.count("\n") == 1
+    assert message in err
+
+
+# ----------------------------------------------------------------------
+# The CLI surface: parsed namespaces and job scopes
+# ----------------------------------------------------------------------
+
+TRACEABLE = {"manifest": True, "runs_dir": None, "trace_out": None}
+#: The flags all six sampling commands share (sweep has no ``--n``).
+RUN_FLAGS = {
+    **TRACEABLE, "model": "lr", "seed": 0, "samples": 80, "workers": 1,
+    "progress": False, "timeout": None, "retries": 2, "checkpoint": None,
+    "resume": False, "inject_faults": None, "guards": "warn",
+    "fuel": None, "engine": "tree", "state_budget": None,
+}
+SAMPLING = {**RUN_FLAGS, "n": None}
+STORE = {"store": None, "json": False, "skip_manifest": True}
+RUNS = {"runs_dir": None, "manages_tracing": True, "skip_manifest": True}
+
+#: ``vars(parse_args(argv))`` without ``func`` or ``command`` for one
+#: minimal argv per subcommand.  The scope fingerprint hashes these
+#: keys and values, so they must not move.
+NAMESPACES = {
+    "prove": TRACEABLE,
+    "verify": SAMPLING,
+    "check": {**SAMPLING, "early_stop": False, "json": False, "prop": None},
+    "chain": {**SAMPLING, "early_stop": False},
+    "exact": {**TRACEABLE, "n": 3, "seed": 0, "states": 6},
+    "appendix": {**TRACEABLE, "n": 3},
+    "expected-time": SAMPLING,
+    "sweep": {**RUN_FLAGS, "samples": 40, "sizes": None},
+    "independence": TRACEABLE,
+    "models": {"json": False, "manages_tracing": True, "skip_manifest": True},
+    "exhaustive": {**TRACEABLE, "composed": False},
+    "all": {**TRACEABLE, "n": 3, "seed": 0, "states": 5},
+    "audit": {
+        **TRACEABLE, "model": "lr", "n": None, "horizon": 2000,
+        "json": False,
+    },
+    "stats": {**SAMPLING, "samples": 40, "manages_tracing": True},
+    "trace": {**TRACEABLE, "rest": [], "manages_tracing": True},
+    "runs list": {**RUNS, "runs_cmd": "list", "json": False},
+    "runs show ID": {**RUNS, "runs_cmd": "show", "json": False, "id": "ID"},
+    "runs diff A B": {
+        **RUNS, "runs_cmd": "diff", "json": False, "old": "A", "new": "B",
+    },
+    "profile": {
+        **RUNS, "source": None, "run": None, "top": 20, "folded": False,
+    },
+    "corpus list": {
+        "corpus_cmd": "list", "corpus_file": None, "json": False,
+        "skip_manifest": True,
+    },
+    "corpus run": {
+        **TRACEABLE, "corpus_cmd": "run", "corpus_file": None,
+        "entry": None, "json": False,
+    },
+    "corpus add F.jsonl": {
+        "corpus_cmd": "add", "corpus_file": None, "finding": "F.jsonl",
+        "skip_manifest": True,
+    },
+    "fuzz": {
+        **TRACEABLE, "budget": 50, "seed": 0, "workers": 1,
+        "sabotage": None, "model": None, "emit": None, "json": False,
+    },
+    "submit": {**STORE, "max_attempts": 3, "spec": []},
+    "serve": {
+        **TRACEABLE, **STORE, "workers": 1, "lease": 30.0, "drain": False,
+        "poll": 0.1, "backoff": 0.2, "max_restarts": 5,
+        "healthy_seconds": 5.0, "inject_faults": None,
+    },
+    "jobs list": {**STORE, "jobs_cmd": "list"},
+    "jobs show ID": {**STORE, "jobs_cmd": "show", "id": "ID"},
+    "jobs cancel ID": {**STORE, "jobs_cmd": "cancel", "id": "ID"},
+}
+
+#: ``JobSpec.parse(argv).scope``: the seven service-campaign job kinds
+#: of ``benchmarks/e2e/workloads.py``, then the other sampling
+#: commands' defaults and the corpus replay.
+JOB_SCOPES = {
+    ("check", "--prop", "A.14", "--samples", "16"):
+        "6a75d6386aca37372a13179dd8a5b61b49475e54737e3cf25671f6c2db14a7c8",
+    ("check", "--prop", "A.11", "--samples", "16"):
+        "66b1f7895e5c8f1081c98c642f50fdbbd7e42c1397b2303a63a6295e581feab8",
+    ("check", "--model", "herman", "--n", "5", "--samples", "100"):
+        "783457073730e240e4612252f3fc778ce0f7856914e126e29b6d1591006b1717",
+    ("check", "--prop", "A.3", "--samples", "16"):
+        "70834f35ba8925a8bcb83d9b2a7db53637598f3c737aecca7bca992e96a6b5a6",
+    ("expected-time", "--model", "herman", "--n", "5", "--samples", "300"):
+        "f26933791b26f78e401218a4569e5ce89712e1c29751ff2b80f3bb90c481e033",
+    ("check", "--prop", "A.1", "--samples", "16"):
+        "ce4e40fa7580dd3852c1ebd98e8d38afe2aee05d1f7d68b722510875a8da158e",
+    ("check", "--prop", "A.15", "--samples", "16"):
+        "3993cc7be043152a095b0a9f0d43cb16aafcba3d79e81b1ed973fce4ec274e18",
+    ("verify",):
+        "fc1b7a914a1c882cc600f80df16fe2baf42969013857fc09211809a11cb57ff2",
+    ("sweep",):
+        "34c594a50c011b1c2af910cc93989bf2eaf9566b989c5a7165f527c79e1d5f04",
+    ("stats",):
+        "537e06b0cb145f72e73f9466c791964e53fe3c97e0b92c2bb4cba7cb22a50562",
+    ("corpus", "run"):
+        "350d3be9b2689d08b27f4a84fadceae6209ff7f2c117ec1f22387ce23e58b8ea",
+}
+
+
+class TestSurface:
+    @pytest.mark.parametrize("argv", sorted(NAMESPACES))
+    def test_namespace_keys_and_defaults(self, argv):
+        args = vars(build_parser().parse_args(argv.split()))
+        del args["func"]
+        assert args == {"command": argv.split()[0], **NAMESPACES[argv]}
+
+    @pytest.mark.parametrize("command", ["election", "benor"])
+    def test_legacy_commands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args([command])
+        assert exited.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", list(JOB_SCOPES), ids=" ".join)
+    def test_job_scope(self, argv):
+        from repro.service import JobSpec
+
+        assert JobSpec.parse(argv).scope == JOB_SCOPES[argv]

@@ -687,6 +687,21 @@ class TestLintAssertBan:
         root = Path(__file__).resolve().parent.parent
         assert lint.run_ban_check([root / "src"]) == 0
 
+    @pytest.mark.parametrize("where, flagged", [
+        (("src", "mod.py"), True),
+        (("src", "repro", "models", "mod.py"), False),
+    ], ids=["outside", "models"])
+    def test_case_studies_only_behind_the_registry(
+        self, lint, tmp_path, where, flagged
+    ):
+        path = tmp_path.joinpath(*where)
+        path.parent.mkdir(parents=True)
+        # coins (Example 4.1) is not a registered model: never flagged.
+        path.write_text("from repro.algorithms import coins, herman\n")
+        findings = lint.banned_handlers(path)
+        assert len(findings) == (1 if flagged else 0)
+        assert all("repro.algorithms.herman" in m for _, m in findings)
+
 
 # ----------------------------------------------------------------------
 # CLI acceptance: byte identity, exit codes, audit
@@ -731,8 +746,10 @@ class TestCLI:
         assert all(q["kind"] == "fuel" for q in data["quarantined"])
 
     def test_fuel_requires_guard_mode(self, capsys):
-        with pytest.raises(VerificationError, match="warn.*strict"):
-            main(self.CHECK + ["--guards", "off", "--fuel", "100"])
+        code, _, err = self.run_cli(
+            self.CHECK + ["--guards", "off", "--fuel", "100"], capsys
+        )
+        assert code == 2 and "'warn' or 'strict'" in err
 
     def test_audit_healthy_ring(self, capsys):
         code, out, _ = self.run_cli(["audit", "--n", "3", "--json"], capsys)

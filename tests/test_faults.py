@@ -665,10 +665,12 @@ class TestAcceptance:
         assert counters["checkpoint.tasks_skipped"] >= 1
 
     def test_fault_flags_reject_contradictions(self, capsys):
-        with pytest.raises(VerificationError, match="requires a per-task"):
-            main(self.CHECK + ["--inject-faults", "hang=0.5"])
-        with pytest.raises(VerificationError, match="resume"):
-            main(self.CHECK + ["--resume"])
+        code, _, err = self.run_cli(
+            self.CHECK + ["--inject-faults", "hang=0.5"], capsys
+        )
+        assert code == 2 and "requires a per-task" in err
+        code, _, err = self.run_cli(self.CHECK + ["--resume"], capsys)
+        assert code == 2 and "resume" in err
 
     def test_stats_surfaces_fault_counters(self, capsys):
         pool_module._degraded_warned = False

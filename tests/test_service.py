@@ -413,6 +413,18 @@ class TestWorkerLoop:
         assert hit["stdout"] == direct
         assert hit["exit_status"] == code
 
+    def test_usage_error_is_recorded_but_not_cached(self, tmp_path):
+        # --workers is outside the scope: a cached exit 2 would be
+        # served to the healthy job that shares it.
+        store = JobStore(str(tmp_path / "svc"))
+        bad = store.submit(_spec(*QUICK, "--workers", "0"))
+        store.submit(_spec())
+        _, cache, summary = self._serve_inline(tmp_path)
+        assert summary["executed"] == 2 and summary["cache_hits"] == 0
+        jobs = JobStore(str(tmp_path / "svc")).jobs()
+        assert jobs[bad.job_id].exit_status == 2
+        assert cache.get(_spec().scope)["exit_status"] == 0
+
     def test_failing_job_consumes_attempts(self, tmp_path):
         store = JobStore(str(tmp_path / "svc"))
         view = store.submit(_spec(), max_attempts=2)
@@ -484,6 +496,25 @@ class TestServiceCLI:
         )
         assert code == 2
         assert "cannot be served" in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("check --model nope", "unknown model 'nope'"),
+        ("check --n 1", "needs at least two processes, got 1"),
+        ("check --prop A.99", "unknown proposition 'A.99'"),
+        ("check --resume", "requires a checkpoint"),
+        ("check --guards off --fuel 10", "require guard mode 'warn' or"),
+        ("sweep --sizes 3,x", "comma-separated integers, got '3,x'"),
+    ])
+    def test_submit_rejects_what_serve_would_reject(
+        self, spec, message, capsys, tmp_path
+    ):
+        store = tmp_path / "svc"
+        code, _, err = self.run_cli(
+            ["submit", "--store", str(store), "--", *spec.split()], capsys
+        )
+        assert code == 2
+        assert err.startswith("repro: error: ") and message in err
+        assert not store.exists()
 
     def test_jobs_list_and_show_and_cancel(self, capsys, tmp_path):
         self.run_cli(

@@ -45,14 +45,17 @@ that module is the single gated entry point that degrades to pure
 python when it is absent.  A stray import anywhere else would make the
 library hard-require numpy and break containers without it.
 
-Likewise, importing ``repro.algorithms.lehmann_rabin`` under ``src/``
-is forbidden outside ``src/repro/models/`` and
-``src/repro/algorithms/``: the verification stack reaches case studies
-exclusively through the model registry (``repro.models``), and this
-ban keeps the pluggable-model decoupling enforced — a new hard-wired
-Lehmann-Rabin dependency in the CLI, analysis, statespace, corpus, or
-service layers would silently re-couple the stack to one case study
-(``docs/models.md``).
+Likewise, importing a registered case study's algorithm package
+(``repro.algorithms.lehmann_rabin``, ``benor``, ``election`` or
+``herman``) under ``src/`` is forbidden outside ``src/repro/models/``
+and ``src/repro/algorithms/``: the verification stack reaches case
+studies exclusively through the model registry (``repro.models``), and
+this ban keeps the pluggable-model decoupling enforced — a new
+hard-wired case-study dependency in the CLI, analysis, statespace,
+corpus, or service layers would silently re-couple the stack to one
+case study (``docs/models.md``).  ``repro.algorithms.coins`` (Example
+4.1, behind ``repro independence``) and ``repro.algorithms.ordered``
+are not registered models and stay outside the rule.
 
 Finally, every ``incr(``/``gauge(``/``observe(``/``counter(``/
 ``histogram(`` call site under ``src/`` whose first argument is a
@@ -238,31 +241,32 @@ def _imports_numpy(node):
     return False
 
 
-_LR_PACKAGE = "repro.algorithms.lehmann_rabin"
+#: The algorithm packages behind the registered models.
+_CASE_STUDIES = ("lehmann_rabin", "benor", "election", "herman")
 
 
-def _imports_lehmann_rabin(node):
-    """True for imports reaching ``repro.algorithms.lehmann_rabin``.
+def _imported_case_study(node):
+    """The case study an import reaches, or ``None``.
 
-    Covers ``import repro.algorithms.lehmann_rabin[.sub]``,
-    ``from repro.algorithms.lehmann_rabin[.sub] import ...``, and
-    ``from repro.algorithms import lehmann_rabin``.
+    Covers ``import repro.algorithms.<study>[.sub]``,
+    ``from repro.algorithms.<study>[.sub] import ...``, and
+    ``from repro.algorithms import <study>``.
     """
     if isinstance(node, ast.Import):
-        return any(
-            alias.name == _LR_PACKAGE
-            or alias.name.startswith(_LR_PACKAGE + ".")
-            for alias in node.names
-        )
-    if isinstance(node, ast.ImportFrom):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
         module = node.module or ""
-        if module == _LR_PACKAGE or module.startswith(_LR_PACKAGE + "."):
-            return True
+        modules = [module]
         if module == "repro.algorithms":
-            return any(
-                alias.name == "lehmann_rabin" for alias in node.names
-            )
-    return False
+            modules = [f"{module}.{alias.name}" for alias in node.names]
+    else:
+        return None
+    for module in modules:
+        parts = module.split(".")
+        if parts[:2] == ["repro", "algorithms"] and len(parts) > 2:
+            if parts[2] in _CASE_STUDIES:
+                return parts[2]
+    return None
 
 
 def _may_import_algorithms(path):
@@ -340,10 +344,11 @@ def banned_handlers(path):
                 )
     if not _may_import_algorithms(path):
         for node in ast.walk(tree):
-            if _imports_lehmann_rabin(node):
+            study = _imported_case_study(node)
+            if study is not None:
                 findings.append(
                     (node.lineno,
-                     "import repro.algorithms.lehmann_rabin only inside "
+                     f"import repro.algorithms.{study} only inside "
                      "src/repro/models/ or src/repro/algorithms/ — the "
                      "rest of the stack reaches case studies through the "
                      "model registry (repro.models), keeping the "
