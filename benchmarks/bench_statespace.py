@@ -5,10 +5,9 @@ measured against ``--engine tree``, the reference walk of the live
 object graph:
 
 * **Equivalence** — the composed ``T --13--> C`` check produces a
-  byte-identical report under ``tree``, ``batched``, ``batched-pure``
-  and ``auto``, for the full adversary family including the
-  uncompilable hashed-random members (which fall back to the tree walk
-  per adversary).
+  byte-identical report under ``tree``, ``batched`` and ``auto``, for
+  the full adversary family including the uncompilable hashed-random
+  members (which fall back to the tree walk per adversary).
 * **End-to-end speedup** — on the n=3 ring, the batched engine
   completes the arrow check at least 2x faster than the tree walk once
   the sampling load amortises the one-off compile.  The timed workload
@@ -17,8 +16,7 @@ object graph:
 * **Raw sampling loop** — on one (adversary, start) pair, the batched
   walker (CSR arrays, chain compression, scaled-integer time, block
   uniforms) draws the tree walk's exact (verdict, steps) stream at
-  least 50x faster, on the numpy block filler and on the pure-python
-  one alike.
+  least 50x faster.
 
 Skipped cleanly when the compile blows its state budget or the tree
 baseline finishes too fast to time reliably.
@@ -59,7 +57,7 @@ def report_json(report) -> str:
 
 def test_batched_report_matches_tree(setup3):
     tree_json = report_json(run_check(setup3, "tree", SAMPLES))
-    for engine in ("batched", "batched-pure", "auto"):
+    for engine in ("batched", "auto"):
         try:
             report = run_check(setup3, engine, SAMPLES)
         except StateBudgetExceeded as error:
@@ -145,12 +143,10 @@ def best_rate(engine, count):
 
 def test_batched_sampling_loop_at_least_50x_tree():
     try:
-        engines = {
-            name: build_loop_engine(name)
-            for name in ("batched", "batched-pure")
-        }
+        batched = build_loop_engine("batched")
     except StateBudgetExceeded as error:
         pytest.skip(f"compile budget exceeded: {error}")
+    assert isinstance(batched, BatchedEngine)
     tree = build_loop_engine("tree")
     drive(tree, 0, 100)  # warm the transition caches before timing
     tree_rate, tree_stream = best_rate(tree, TREE_LOOP_SAMPLES)
@@ -159,19 +155,17 @@ def test_batched_sampling_loop_at_least_50x_tree():
             f"tree baseline finished in {TREE_LOOP_SAMPLES / tree_rate:.3f}s"
             " — too fast to time a 50x ratio reliably on this hardware"
         )
-    for name, engine in engines.items():
-        assert isinstance(engine, BatchedEngine)
-        drive(engine, 0, BATCHED_LOOP_SAMPLES)  # warm before timing
-        rate, stream = best_rate(engine, BATCHED_LOOP_SAMPLES)
-        assert stream[:TREE_LOOP_SAMPLES] == tree_stream, (
-            f"{name} sampling diverged from the tree walk"
-        )
-        speedup = rate / tree_rate
-        print(
-            f"\ntree: {tree_rate:,.0f} samples/s, {name}: "
-            f"{rate:,.0f} samples/s ({speedup:.0f}x)"
-        )
-        assert speedup >= 50.0, (
-            f"{name} sampling loop {speedup:.1f}x the tree walk, "
-            "below the required 50x"
-        )
+    drive(batched, 0, BATCHED_LOOP_SAMPLES)  # warm before timing
+    rate, stream = best_rate(batched, BATCHED_LOOP_SAMPLES)
+    assert stream[:TREE_LOOP_SAMPLES] == tree_stream, (
+        "batched sampling diverged from the tree walk"
+    )
+    speedup = rate / tree_rate
+    print(
+        f"\ntree: {tree_rate:,.0f} samples/s, batched: "
+        f"{rate:,.0f} samples/s ({speedup:.0f}x)"
+    )
+    assert speedup >= 50.0, (
+        f"batched sampling loop {speedup:.1f}x the tree walk, "
+        "below the required 50x"
+    )

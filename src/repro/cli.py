@@ -55,7 +55,7 @@ model-contract enforcement mode (Definitions 2.1/2.2/3.3) and
 per-execution budgets; on healthy models ``warn`` output is
 byte-identical to ``off`` for every worker count, and strict-mode
 violations exit with the dedicated status 4 (see ``docs/contracts.md``).
-``--engine {tree,batched,batched-pure,auto}`` selects the evaluation
+``--engine {tree,batched,auto}`` selects the evaluation
 strategy — the historical tree walk, or the compile-once interned
 state space flattened into arrays and sampled in uniform blocks — and
 ``--state-budget`` caps the compile; reports are byte-identical
@@ -103,7 +103,7 @@ exit status:
   1  a checked claim was refuted (or a measured bound failed)
   2  usage error: unknown flags, models or propositions, a flag value
      the run cannot use (out of range or contradicting another flag),
-     or --engine batched/batched-pure blew its --state-budget
+     or --engine batched blew its --state-budget
   3  infrastructure failure: a pooled run exhausted its
      fault-tolerance budget, a checkpoint file was unusable, or the
      job service failed (lease lost, job store corrupt, workers
@@ -252,9 +252,12 @@ def _sampling_run(args: argparse.Namespace):
     fault-tolerance policy and the contract guards, and keeps the
     policy's checkpoint open for the body.  ``run`` holds the keyword
     arguments every sampling call forwards unchanged.  The model, size,
-    proposition, policy and guard flags are checked here, before the
-    command prints anything; ``repro submit`` runs the same checks.
+    proposition, policy, guard and state-budget flags are checked here,
+    before the command prints anything; ``repro submit`` runs the same
+    checks.
     """
+    from repro.statespace import resolve_state_budget
+
     model = _resolve_model(args)
     policy = _build_policy(args)
     run = {
@@ -262,7 +265,7 @@ def _sampling_run(args: argparse.Namespace):
         "policy": policy,
         "guards": _build_guards(args),
         "engine": args.engine,
-        "state_budget": args.state_budget,
+        "state_budget": resolve_state_budget(args.state_budget),
     }
     with nullcontext() if policy.checkpoint is None else policy.checkpoint:
         yield model, run
@@ -859,25 +862,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sampling.add_argument(
         "--engine",
-        choices=("tree", "batched", "batched-pure", "auto"),
+        choices=("tree", "batched", "auto"),
         default="tree",
         help="evaluation strategy: 'tree' walks the live object "
              "graph, 'batched' interns the reachable state space "
              "once, flattens it into arrays, and draws uniforms in "
-             "blocks (numpy-accelerated when available; errors "
-             "when the --state-budget is exceeded), "
-             "'batched-pure' is 'batched' with the numpy filler "
-             "forced off, 'auto' prefers the batched walk when the "
-             "space fits and falls back to the tree walk otherwise; "
-             "reports are byte-identical whichever engine ran "
+             "blocks (errors when the --state-budget is exceeded), "
+             "'auto' prefers the batched walk when the space fits "
+             "and falls back to the tree walk otherwise; reports are "
+             "byte-identical whichever engine ran "
              "(default: %(default)s; see docs/statespace.md)",
     )
     sampling.add_argument(
         "--state-budget", type=int, default=None, metavar="N",
         dest="state_budget",
         help="cap on interned states (and per-adversary product "
-             "nodes) for --engine batched/batched-pure/auto "
-             "(default: 200000)",
+             "nodes) for --engine batched/auto (default: 200000)",
     )
     # verify, check, chain and expected-time default to 80 samples;
     # stats and sweep to 40.

@@ -31,9 +31,6 @@ from repro.contracts.config import (
     STRICT,
     WARN,
     GuardConfig,
-    active,
-    install,
-    use,
 )
 from repro.contracts.fuel import Fuel, fuel_for
 from repro.contracts.guards import (
@@ -57,9 +54,6 @@ __all__ = [
     "STRICT",
     "WARN",
     "GuardConfig",
-    "active",
-    "install",
-    "use",
     "Fuel",
     "fuel_for",
     "check_chosen_step",

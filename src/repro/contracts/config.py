@@ -48,9 +48,6 @@ class GuardConfig:
     mode: str = OFF
     fuel_steps: Optional[int] = None
     fuel_seconds: Optional[float] = None
-    #: How many closure spot-check probes to run per (adversary, start)
-    #: pair when the schema declares ``execution_closed=True``.
-    closure_probes: int = 1
 
     def validate(self) -> "GuardConfig":
         """Check internal consistency; returns self for chaining."""
@@ -67,8 +64,6 @@ class GuardConfig:
                 "fuel budgets require guard mode 'warn' or 'strict' "
                 "(mode 'off' performs no checks)"
             )
-        if self.closure_probes < 0:
-            raise VerificationError("closure_probes must be >= 0")
         return self
 
     @property
@@ -135,35 +130,3 @@ def _parse_fuel(spec: Optional[str]):
 
 #: The shared zero-overhead default.
 OFF_CONFIG = GuardConfig()
-
-_active = OFF_CONFIG
-
-
-def active() -> GuardConfig:
-    """The process-wide default config, used when no explicit config is
-    passed down a call chain.  Defaults to :data:`OFF_CONFIG`."""
-    return _active
-
-
-def install(config: GuardConfig) -> GuardConfig:
-    """Replace the process-wide default; returns the previous one."""
-    global _active
-    previous = _active
-    _active = config.validate()
-    return previous
-
-
-class use:
-    """Context manager installing ``config`` for the enclosed block."""
-
-    def __init__(self, config: GuardConfig):
-        self._config = config
-        self._previous: Optional[GuardConfig] = None
-
-    def __enter__(self) -> GuardConfig:
-        self._previous = install(self._config)
-        return self._config
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._previous is not None:
-            install(self._previous)

@@ -233,9 +233,7 @@ def spot_check_closure(
     if schema is None or not schema.execution_closed:
         return
     try:
-        schema.spot_check_closure(
-            adversary, fragment, rng, probes=config.closure_probes
-        )
+        schema.spot_check_closure(adversary, fragment, rng, probes=1)
     except ContractViolation as error:
         if not error.site:
             error.site = f"closure:{schema.name}:{adversary_name}"

@@ -1,4 +1,4 @@
-"""Deterministic differential fuzzing of the four sampling engines.
+"""Deterministic differential fuzzing of the two sampling engines.
 
 The fuzzer generates small randomized models — automaton shape,
 transition distributions, guard mode, adversary choice, optional

@@ -44,10 +44,8 @@ from repro.errors import VerificationError
 from repro.parallel.faults import FaultPlan
 from repro.parallel.pool import RunPolicy
 
-#: Every engine the corpus replays.  ``batched-pure`` is the
-#: first-class name for the BatchedEngine with the numpy transplant
-#: disabled — the path machines without numpy take implicitly.
-ENGINES = ("tree", "batched", "batched-pure")
+#: Every engine the corpus replays.
+ENGINES = ("tree", "batched")
 
 #: Guard modes every entry is replayed under.
 MODES = ("off", "warn", "strict")
@@ -358,7 +356,7 @@ BUILTIN_ENTRIES: Tuple[CorpusEntry, ...] = (
         },
         exit_status=2,
         build=_budget_case,
-        engines=("batched", "batched-pure"),
+        engines=("batched",),
         baseline_ok=True,
     ),
     CorpusEntry(

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Optional, TypeVar
 
-from repro import contracts, obs
+from repro import obs
 from repro.adversary.base import Adversary
 from repro.automaton.automaton import ProbabilisticAutomaton
 from repro.automaton.execution import ExecutionFragment
-from repro.contracts import GuardConfig
+from repro.contracts import OFF_CONFIG, GuardConfig
 from repro.contracts.fuel import fuel_for
 from repro.contracts.guards import check_chosen_step
 from repro.errors import VerificationError
@@ -72,15 +72,14 @@ def sample_event(
     ``decide_maximal`` settles the verdict), or after ``max_steps``
     steps (verdict ``None``).
 
-    ``guards`` selects the contract-check mode (default: the installed
-    :func:`repro.contracts.active` config, normally off).  Guard checks
-    never consume ``rng``, so enabling them does not perturb the sample
-    stream; in warn mode a fuel exhaustion truncates the sample exactly
-    like hitting ``max_steps``.
+    ``guards`` selects the contract-check mode (default: off).  Guard
+    checks never consume ``rng``, so enabling them does not perturb the
+    sample stream; in warn mode a fuel exhaustion truncates the sample
+    exactly like hitting ``max_steps``.
     """
     if max_steps < 0:
         raise VerificationError("max_steps must be nonnegative")
-    config = guards if guards is not None else contracts.active()
+    config = guards if guards is not None else OFF_CONFIG
     checking = config.checking
     fuel = fuel_for(config)
     adversary_name = getattr(adversary, "name", "")
@@ -154,7 +153,7 @@ def sample_time_until(
     """
     if max_steps < 0:
         raise VerificationError("max_steps must be nonnegative")
-    config = guards if guards is not None else contracts.active()
+    config = guards if guards is not None else OFF_CONFIG
     checking = config.checking
     fuel = fuel_for(config)
     adversary_name = getattr(adversary, "name", "")

@@ -40,10 +40,10 @@ from typing import (
     TypeVar,
 )
 
-from repro import contracts, obs
+from repro import obs
 from repro.adversary.base import Adversary, AdversarySchema
 from repro.automaton.automaton import ProbabilisticAutomaton
-from repro.contracts import GuardConfig, QuarantinedPair
+from repro.contracts import OFF_CONFIG, GuardConfig, QuarantinedPair
 from repro.errors import VerificationError
 from repro.execution.measure import EventBounds
 from repro.parallel.backend import (
@@ -255,17 +255,16 @@ def check_arrow_by_sampling(
     pair's outcome is a pure function of its derived seed, none of it
     changes the report (see ``docs/robustness.md``).
 
-    ``guards`` selects the contract-check mode (default: the installed
-    :func:`repro.contracts.active` config) and ``schema`` names the
-    adversary schema the family is declared to range over, enabling
-    membership and execution-closure spot checks.  Guard checks consume
-    no sample randomness, so warn-mode reports are byte-identical to
-    guards-off on healthy models; in strict mode a violating pair is
-    quarantined (reported in ``report.quarantined``) while the rest of
-    the run completes (see ``docs/contracts.md``).
+    ``guards`` selects the contract-check mode (default: off) and
+    ``schema`` names the adversary schema the family is declared to
+    range over, enabling membership and execution-closure spot checks.
+    Guard checks consume no sample randomness, so warn-mode reports are
+    byte-identical to guards-off on healthy models; in strict mode a
+    violating pair is quarantined (reported in ``report.quarantined``)
+    while the rest of the run completes (see ``docs/contracts.md``).
 
     ``engine`` selects the evaluation strategy (``tree``, ``batched``,
-    ``batched-pure``, or ``auto``); ``space_spec`` supplies the compile quotient and
+    or ``auto``); ``space_spec`` supplies the compile quotient and
     ``state_budget`` the interning cap (see ``docs/statespace.md``).
     Reports are byte-identical across engines.
     """
@@ -278,7 +277,7 @@ def check_arrow_by_sampling(
     if chunk_size <= 0:
         raise VerificationError("chunk_size must be positive")
 
-    guard_config = guards if guards is not None else contracts.active()
+    guard_config = guards if guards is not None else OFF_CONFIG
     guard_config.validate()
     root_seed = resolve_root_seed(rng, seed)
     pairs: List[Tuple[str, State]] = []
@@ -610,7 +609,7 @@ def measure_time_to_target(
         raise VerificationError("samples must be positive")
     if not start_states:
         raise VerificationError("no start states supplied")
-    guard_config = guards if guards is not None else contracts.active()
+    guard_config = guards if guards is not None else OFF_CONFIG
     guard_config.validate()
     root_seed = resolve_root_seed(rng, seed)
     samples_per_start = math.ceil(samples / len(start_states))

@@ -1,7 +1,7 @@
 """Compile-once state spaces and the engine protocol built on them.
 
 See ``docs/statespace.md`` for the compile pipeline, the
-``--engine {tree,batched,batched-pure,auto}`` selection rules, the flat
+``--engine {tree,batched,auto}`` selection rules, the flat
 array layout behind the batched engine, and the fallback behaviour
 that keeps reports byte-identical across engines.
 """
@@ -22,6 +22,7 @@ from repro.statespace.engine import (
     TreeEngine,
     build_engine,
     resolve_engine_name,
+    resolve_state_budget,
 )
 from repro.statespace.product import AdversaryTable, compile_adversary
 
@@ -41,6 +42,7 @@ __all__ = [
     "TreeEngine",
     "build_engine",
     "resolve_engine_name",
+    "resolve_state_budget",
     "AdversaryTable",
     "compile_adversary",
 ]

@@ -21,11 +21,10 @@ Two further accelerations live here, both *exactly* draw-preserving:
   then bounded by ``skip_total``, so a single comparison proves no
   intermediate state crossed the time bound.
 * **Block-buffered uniforms** — :class:`UniformSource` fills a block of
-  uniforms at a time, via :func:`repro.statespace.np_backend.make_bulk`
-  when numpy can transplant the generator state (bit-identical floats)
-  or ``rng.random()`` otherwise.  Sources own their ``random.Random``
-  exclusively; over-filling past what a walk consumes is invisible
-  because each pair's stream is private and discarded afterwards.
+  uniforms at a time with ``rng.random()``.  Sources own their
+  ``random.Random`` exclusively; over-filling past what a walk consumes
+  is invisible because each pair's stream is private and discarded
+  afterwards.
 """
 
 from __future__ import annotations
@@ -33,11 +32,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.statespace.product import AdversaryTable
 
-#: Uniforms fetched per refill.  Large enough to amortise the bulk call,
+#: Uniforms fetched per refill.  Large enough to amortise the refill call,
 #: small enough that an abandoned tail costs nothing noticeable.
 BLOCK = 4096
 
@@ -224,40 +223,24 @@ class UniformSource:
     """A block-buffered stream of uniforms over one private ``Random``.
 
     The stream's *consumed prefix* is exactly the sequence
-    ``rng.random(), rng.random(), ...`` the stepwise engines would have
-    drawn — whether blocks come from the numpy twin generator
-    (bit-identical transplant) or from ``rng.random()`` itself.  The
-    walker reads ``data``/``pos`` directly in its inner loop and writes
-    ``pos`` back on exit; :meth:`refill` and :meth:`skip` are the only
-    operations that touch the underlying generator.
+    ``rng.random(), rng.random(), ...`` the tree walk would have drawn.
+    The walker reads ``data``/``pos`` directly in its inner loop and
+    writes ``pos`` back on exit; :meth:`refill` and :meth:`skip` are the
+    only operations that touch the underlying generator.
     """
 
-    __slots__ = ("rng", "block", "data", "pos", "bulk")
+    __slots__ = ("rng", "block", "data", "pos")
 
-    def __init__(
-        self,
-        rng: random.Random,
-        block: int = BLOCK,
-        bulk: Optional[Callable[[int], List[float]]] = None,
-    ):
+    def __init__(self, rng: random.Random, block: int = BLOCK):
         self.rng = rng
         self.block = block
         self.data: List[float] = []
         self.pos = 0
-        self.bulk = bulk
-
-    @property
-    def backend(self) -> str:
-        """Which block filler is active: ``"numpy"`` or ``"pure"``."""
-        return "pure" if self.bulk is None else "numpy"
 
     def refill(self) -> List[float]:
         """Fetch the next block; returns the fresh ``data`` list."""
-        if self.bulk is None:
-            rand = self.rng.random
-            self.data = [rand() for _ in range(self.block)]
-        else:
-            self.data = self.bulk(self.block)
+        rand = self.rng.random
+        self.data = [rand() for _ in range(self.block)]
         self.pos = 0
         return self.data
 
@@ -267,12 +250,8 @@ class UniformSource:
         if count <= available:
             self.pos += count
             return
-        count -= available
-        if self.bulk is None:
-            rand = self.rng.random
-            for _ in range(count):
-                rand()
-        else:
-            self.bulk(count)
+        rand = self.rng.random
+        for _ in range(count - available):
+            rand()
         self.data = []
         self.pos = 0

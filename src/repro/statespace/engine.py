@@ -12,12 +12,11 @@ all three:
 * :class:`BatchedEngine` walks the interned tables of
   :mod:`repro.statespace.compile` / :mod:`repro.statespace.product`
   flattened into CSR parallel arrays (:mod:`repro.statespace.arrays`),
-  drawing uniforms in blocks — via the numpy state transplant of
-  :mod:`repro.statespace.np_backend` when available, pure python
-  otherwise — and fast-forwarding memoised deterministic runs.  It
-  falls back to an embedded tree engine per adversary when that
-  adversary could not be tabulated (history-dependent policies) or when
-  a caller needs the final fragment (closure spot checks).
+  drawing uniforms from ``rng.random()`` in blocks and fast-forwarding
+  memoised deterministic runs.  It falls back to an embedded tree
+  engine per adversary when that adversary could not be tabulated
+  (history-dependent policies) or when a caller needs the final
+  fragment (closure spot checks).
 
 Both engines consume the *identical* randomness per sample — one
 uniform draw per step, resolved against float partial sums accumulated
@@ -25,10 +24,9 @@ exactly as ``FiniteDistribution.sample`` accumulates them; the batched
 engine merely fetches those same floats ahead of time — so reports are
 byte-identical whichever engine ran, for every seed, guard mode, and
 worker count.  The factory :func:`build_engine` implements the
-``--engine {tree,batched,batched-pure,auto}`` selection rules:
-``batched`` and ``batched-pure`` propagate
-:class:`~repro.errors.StateBudgetExceeded`, ``auto`` prefers the
-batched engine and silently falls back to the tree walk when the
+``--engine {tree,batched,auto}`` selection rules: ``batched``
+propagates :class:`~repro.errors.StateBudgetExceeded`, ``auto`` prefers
+the batched engine and silently falls back to the tree walk when the
 compile fails.
 """
 
@@ -54,7 +52,6 @@ from repro.execution.automaton import ExecutionAutomaton
 from repro.execution.measure import EventBounds, event_probability_bounds
 from repro.execution.sampler import SampleResult
 from repro.probability.space import as_fraction
-from repro.statespace import np_backend
 from repro.statespace.arrays import FlatTable, UniformSource, flatten_table
 from repro.statespace.compile import (
     DEFAULT_STATE_BUDGET,
@@ -64,11 +61,8 @@ from repro.statespace.compile import (
 )
 from repro.statespace.product import AdversaryTable, compile_adversary
 
-#: Engine names accepted by ``--engine``.  ``batched-pure`` is the
-#: batched engine with the numpy block filler disabled — the exact path
-#: numpy-less machines take, promoted to a first-class name so the
-#: defect corpus (and users debugging a numpy divergence) can pin it.
-ENGINE_NAMES = ("tree", "batched", "batched-pure", "auto")
+#: Engine names accepted by ``--engine``.
+ENGINE_NAMES = ("tree", "batched", "auto")
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -81,6 +75,15 @@ def resolve_engine_name(engine: str) -> str:
             f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"
         )
     return engine
+
+
+def resolve_state_budget(state_budget: Optional[int]) -> Optional[int]:
+    """Validate a ``--state-budget`` value (``None`` = the default)."""
+    if state_budget is not None and state_budget < 1:
+        raise VerificationError(
+            f"state budget must be >= 1, got {state_budget}"
+        )
+    return state_budget
 
 
 class Engine(abc.ABC):
@@ -222,10 +225,8 @@ class BatchedEngine(Engine):
     abandoned streams free their buffers), and memoised deterministic
     runs are fast-forwarded in O(1).  Every consumed uniform is exactly
     the float :mod:`repro.execution.sampler` would have drawn at that
-    point — numpy's transplanted twin generator is bit-identical to
-    ``rng.random()``, and ``force_pure=True`` pins the pure-python
-    filler for reference runs — so verdicts, step counts, and metric
-    totals are byte-identical to :class:`TreeEngine`.
+    point, so verdicts, step counts, and metric totals are
+    byte-identical to :class:`TreeEngine`.
 
     Sources buffer *ahead* of the underlying python generator, which is
     safe because each stream is private to one (adversary, start) pair
@@ -243,8 +244,6 @@ class BatchedEngine(Engine):
         tree: TreeEngine,
         tables: Tuple[Optional[AdversaryTable], ...],
         flags: List[bool],
-        *,
-        force_pure: bool = False,
     ):
         self.tree = tree
         self.tables = tables
@@ -257,7 +256,6 @@ class BatchedEngine(Engine):
         self.flat_tables: Tuple[Optional[FlatTable], ...] = tuple(
             flatten_table(table, flags) for table in tables
         )
-        self.force_pure = force_pure
         self._sources: "weakref.WeakKeyDictionary" = (
             weakref.WeakKeyDictionary()
         )
@@ -287,8 +285,7 @@ class BatchedEngine(Engine):
             return self._last_source
         source = self._sources.get(rng)
         if source is None:
-            bulk = None if self.force_pure else np_backend.make_bulk(rng)
-            source = UniformSource(rng, bulk=bulk)
+            source = UniformSource(rng)
             self._sources[rng] = source
         self._last_rng = rng
         self._last_source = source
@@ -620,13 +617,7 @@ def build_engine(
     * ``batched`` — compile or die: a blown state budget propagates as
       :class:`StateBudgetExceeded`; ``--fuel`` is refused (fuel
       accounting is inherently per-fragment).  The compiled tables are
-      then walked as flattened arrays; the numpy block filler is
-      auto-detected per sampling stream, with the pure-python filler as
-      the always-present fallback.
-    * ``batched-pure`` — the batched engine with the numpy block filler
-      forced off; byte-identical to ``batched`` by construction and
-      selectable explicitly so the pure path is testable on machines
-      where numpy is installed.
+      then walked as flattened arrays.
     * ``auto`` — prefer the batched engine when everything fits the
       budget and guards permit, else silently use the tree walk.
 
@@ -638,6 +629,7 @@ def build_engine(
     engines even on broken models.
     """
     resolve_engine_name(engine)
+    resolve_state_budget(state_budget)
     # ``guards=None`` keeps the historical checked_choose validation on
     # the exact tree path; for engine selection it behaves like OFF.
     config = guards if guards is not None else OFF_CONFIG
@@ -692,9 +684,7 @@ def build_engine(
         return tree
     except ContractViolation:
         return tree
-    batched = BatchedEngine(
-        tree, tables, flags, force_pure=(engine == "batched-pure")
-    )
+    batched = BatchedEngine(tree, tables, flags)
     if obs.enabled():
         obs.gauge("statespace.compiled_adversaries", batched.compiled_adversaries)
         obs.gauge("statespace.flat_nodes", batched.flat_nodes)

@@ -5,10 +5,9 @@ Three concerns share these fixtures:
 * regression tests for the compiled-table correctness fixes (the
   unbounded time-bound crash, the ambiguous ``==``-match in
   ``_match_step``, the unchecked quotient-invariance of ``flags``);
-* the cross-backend byte-identity matrix — ``check`` / ``verify`` /
+* the cross-engine byte-identity matrix — ``check`` / ``verify`` /
   ``expected-time`` stdout must be identical for
-  tree == batched(pure) == batched(numpy) == auto across
-  workers x guards;
+  tree == batched == auto across workers x guards;
 * the ring-rotation quotient: golden quotiented n=3 counts and the
   n=5 exact-reach feasibility smoke test.
 """
@@ -16,7 +15,11 @@ Three concerns share these fixtures:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +46,6 @@ from repro.statespace import (
     compile_adversary,
     compile_space,
 )
-from repro.statespace import np_backend
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -82,21 +84,21 @@ class TestUnboundedTimeBound:
     """
 
     def test_compiled_sample_without_bound(self, setup3, statement):
-        pure = build_for(
-            setup3, statement, time_bound=None, engine="batched-pure"
+        batched = build_for(
+            setup3, statement, time_bound=None, engine="batched"
         )
         tree = build_for(setup3, statement, time_bound=None, engine="tree")
         for seed in (0, 1, 2):
-            got = pure.sample(0, 0, rng_from_seed(seed))
+            got = batched.sample(0, 0, rng_from_seed(seed))
             want = tree.sample(0, 0, rng_from_seed(seed))
             assert (got.verdict, got.steps) == (want.verdict, want.steps)
 
     def test_compiled_exact_reach_without_bound(self, setup3, statement):
-        pure = build_for(
-            setup3, statement, time_bound=None, engine="batched-pure"
+        batched = build_for(
+            setup3, statement, time_bound=None, engine="batched"
         )
         tree = build_for(setup3, statement, time_bound=None, engine="tree")
-        got = pure.exact_reach(0, 0, 40)
+        got = batched.exact_reach(0, 0, 40)
         want = tree.exact_reach(0, 0, 40)
         assert (got.lower, got.upper) == (want.lower, want.upper)
 
@@ -185,20 +187,6 @@ class TestUniformSource:
         rng = rng_from_seed(seed)
         return [rng.random() for _ in range(count)]
 
-    def test_numpy_block_matches_python_stream(self):
-        if not np_backend.available():
-            pytest.skip("numpy not installed")
-        reference = self._reference(9, 3000)
-        source = UniformSource(
-            rng_from_seed(9),
-            block=128,
-            bulk=np_backend.make_bulk(rng_from_seed(9)),
-        )
-        drawn = []
-        while len(drawn) < 3000:
-            drawn.extend(source.refill())
-        assert drawn[:3000] == reference
-
     def test_pure_block_matches_python_stream(self):
         reference = self._reference(9, 300)
         source = UniformSource(rng_from_seed(9), block=300)
@@ -217,20 +205,17 @@ class TestUniformSource:
 
 
 class TestBatchedByteIdentity:
-    """Engine API level: batched(pure) == batched(numpy) == tree."""
+    """Engine API level: batched == tree."""
 
     def _engines(self, setup3, statement):
         batched = build_for(setup3, statement, engine="batched")
-        pure = BatchedEngine(
-            batched.tree, batched.tables, batched.flags, force_pure=True
-        )
-        return batched.tree, batched, pure
+        return batched.tree, batched
 
     def test_sample_stream_identical(self, setup3, statement):
-        tree, batched, pure = self._engines(setup3, statement)
+        tree, batched = self._engines(setup3, statement)
         for adversary_index in range(len(setup3.adversaries)):
             streams = []
-            for engine in (tree, batched, pure):
+            for engine in (tree, batched):
                 rng = rng_from_seed(31 + adversary_index)
                 streams.append([
                     (result.verdict, result.steps)
@@ -239,19 +224,19 @@ class TestBatchedByteIdentity:
                         for _ in range(40)
                     )
                 ])
-            assert streams[0] == streams[1] == streams[2]
+            assert streams[0] == streams[1]
 
     def test_time_stream_identical(self, setup3, statement):
-        tree, batched, pure = self._engines(setup3, statement)
+        tree, batched = self._engines(setup3, statement)
         for adversary_index in range(len(setup3.adversaries)):
             streams = []
-            for engine in (tree, batched, pure):
+            for engine in (tree, batched):
                 rng = rng_from_seed(77 + adversary_index)
                 streams.append([
                     engine.time_to_target(adversary_index, 0, rng)
                     for _ in range(25)
                 ])
-            assert streams[0] == streams[1] == streams[2]
+            assert streams[0] == streams[1]
 
     def test_batched_without_bound(self, setup3, statement):
         # The unbounded-time regression, on the flat walker too.
@@ -263,26 +248,6 @@ class TestBatchedByteIdentity:
             got = batched.sample(0, 0, rng_from_seed(seed))
             want = tree.sample(0, 0, rng_from_seed(seed))
             assert (got.verdict, got.steps) == (want.verdict, want.steps)
-
-    def test_numpy_absent_machine_takes_pure_path(
-        self, setup3, statement, monkeypatch
-    ):
-        # A machine without numpy: available() is False and make_bulk
-        # degrades to None.  Both the implicit fallback under
-        # --engine batched and the explicit batched-pure engine name
-        # must build and match the tree walk byte for byte.
-        monkeypatch.setattr(np_backend, "available", lambda: False)
-        monkeypatch.setattr(np_backend, "make_bulk", lambda rng: None)
-        tree = build_for(setup3, statement, engine="tree")
-        batched = build_for(setup3, statement, engine="batched")
-        pure = build_for(setup3, statement, engine="batched-pure")
-        for seed in (0, 1, 2):
-            want = tree.sample(0, 0, rng_from_seed(seed))
-            for engine in (batched, pure):
-                got = engine.sample(0, 0, rng_from_seed(seed))
-                assert (got.verdict, got.steps) == (
-                    want.verdict, want.steps
-                )
 
     def test_flat_chain_arrays_are_consistent(self, setup3, statement):
         batched = build_for(setup3, statement, engine="batched")
@@ -310,6 +275,28 @@ class TestBatchedByteIdentity:
                 assert total == flat.skip_total[node]
 
 
+def test_batched_check_never_imports_numpy(tmp_path):
+    # The block filler is pure python: a batched run, and everything
+    # ``import repro`` pulls in, leave numpy unloaded.
+    script = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "code = main(['check', '--prop', 'A.14', '--engine', 'batched',"
+        " '--samples', '4', '--no-manifest'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 CLI_MATRIX = [
     (workers, guards)
     for workers in (1, 4)
@@ -325,15 +312,10 @@ def _run_cli(capsys, argv):
 
 
 class TestCliBackendMatrix:
-    """CLI stdout is byte-identical across every backend combination.
-
-    ``batched-pure`` is exercised by disabling the numpy transplant via
-    monkeypatch — fork-started workers inherit the patched module, so
-    the pure path is pinned for parallel runs too.
-    """
+    """CLI stdout is byte-identical across every backend combination."""
 
     @pytest.mark.parametrize("workers,guards", CLI_MATRIX)
-    def test_check_matrix(self, capsys, monkeypatch, workers, guards):
+    def test_check_matrix(self, capsys, workers, guards):
         if workers > 1 and not fork_available():
             pytest.skip("parallel backend needs the fork method")
         argv_tail = [
@@ -346,10 +328,6 @@ class TestCliBackendMatrix:
             runs[engine] = _run_cli(capsys, [
                 "check", "--prop", "composed", "--engine", engine,
             ] + argv_tail)
-        monkeypatch.setattr(np_backend, "make_bulk", lambda rng: None)
-        runs["batched-pure"] = _run_cli(capsys, [
-            "check", "--prop", "composed", "--engine", "batched",
-        ] + argv_tail)
         baseline = runs["tree"]
         assert baseline[1].strip(), "empty stdout"
         for engine, run in runs.items():
@@ -358,7 +336,7 @@ class TestCliBackendMatrix:
             )
 
     @pytest.mark.parametrize("workers", (1, 4))
-    def test_verify_identical(self, capsys, monkeypatch, workers):
+    def test_verify_identical(self, capsys, workers):
         if workers > 1 and not fork_available():
             pytest.skip("parallel backend needs the fork method")
         argv_tail = [
@@ -370,17 +348,13 @@ class TestCliBackendMatrix:
             runs[engine] = _run_cli(
                 capsys, ["verify", "--engine", engine] + argv_tail
             )
-        monkeypatch.setattr(np_backend, "make_bulk", lambda rng: None)
-        runs["batched-pure"] = _run_cli(
-            capsys, ["verify", "--engine", "batched"] + argv_tail
-        )
         baseline = runs["tree"]
         assert baseline[1].strip(), "empty stdout"
         for engine, run in runs.items():
             assert run == baseline, f"{engine} diverged at workers={workers}"
 
     @pytest.mark.parametrize("workers", (1, 4))
-    def test_expected_time_identical(self, capsys, monkeypatch, workers):
+    def test_expected_time_identical(self, capsys, workers):
         if workers > 1 and not fork_available():
             pytest.skip("parallel backend needs the fork method")
         argv_tail = [
@@ -392,10 +366,6 @@ class TestCliBackendMatrix:
             runs[engine] = _run_cli(
                 capsys, ["expected-time", "--engine", engine] + argv_tail
             )
-        monkeypatch.setattr(np_backend, "make_bulk", lambda rng: None)
-        runs["batched-pure"] = _run_cli(
-            capsys, ["expected-time", "--engine", "batched"] + argv_tail
-        )
         baseline = runs["tree"]
         assert baseline[1].strip(), "empty stdout"
         for engine, run in runs.items():

@@ -169,6 +169,8 @@ class TestModelsFrontEnd:
     ("check --workers 0", "workers must be >= 1, got 0"),
     ("check --engine batched --fuel 10", "incompatible with --fuel"),
     ("sweep --sizes 3,x", "comma-separated integers, got '3,x'"),
+    ("check --state-budget 0", "state budget must be >= 1, got 0"),
+    ("check --state-budget -3", "state budget must be >= 1, got -3"),
 ])
 def test_unusable_flag_values_exit_2(argv, message, capsys):
     assert main(argv.split()) == 2
@@ -290,6 +292,12 @@ class TestSurface:
     def test_legacy_commands_are_gone(self, command, capsys):
         with pytest.raises(SystemExit) as exited:
             build_parser().parse_args([command])
+        assert exited.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_retired_engine_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(["check", "--engine", "batched-pure"])
         assert exited.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 

@@ -290,8 +290,8 @@ class TestSabotage:
         assert diff_case(shrunk, sabotage="batched")
 
     def test_sabotage_campaign_is_deterministic(self):
-        first = run_fuzz(seed=3, budget=4, sabotage="batched-pure").to_dict()
-        second = run_fuzz(seed=3, budget=4, sabotage="batched-pure").to_dict()
+        first = run_fuzz(seed=3, budget=4, sabotage="batched").to_dict()
+        second = run_fuzz(seed=3, budget=4, sabotage="batched").to_dict()
         assert first == second
 
     def test_shrink_counts_adopted_rewrites(self):
@@ -303,7 +303,7 @@ class TestSabotage:
         assert diff_case(shrunk, sabotage="batched")
 
     def test_finding_round_trips_into_a_corpus_record(self):
-        report = run_fuzz(seed=3, budget=2, sabotage="batched-pure")
+        report = run_fuzz(seed=3, budget=2, sabotage="batched")
         record = corpus_record(report.findings[0], seed=3)
         assert record["name"] == "fuzz-3-0"
         assert record["case"] == report.findings[0]["case"]
@@ -367,7 +367,7 @@ class TestCorpusCLI:
     ):
         code, out, _ = self.run_cli(
             ["fuzz", "--budget", "2", "--seed", "3",
-             "--sabotage", "batched-pure", "--no-manifest"],
+             "--sabotage", "batched", "--no-manifest"],
             capsys,
         )
         assert code == cli.EXIT_DIVERGENCE

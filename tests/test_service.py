@@ -504,6 +504,7 @@ class TestServiceCLI:
         ("check --resume", "requires a checkpoint"),
         ("check --guards off --fuel 10", "require guard mode 'warn' or"),
         ("sweep --sizes 3,x", "comma-separated integers, got '3,x'"),
+        ("check --state-budget 0", "state budget must be >= 1, got 0"),
     ])
     def test_submit_rejects_what_serve_would_reject(
         self, spec, message, capsys, tmp_path

@@ -39,11 +39,8 @@ durable-io helper's fsynced, torn-tail-repairing appender
 (``docs/service.md``), so crash recovery rests on one write
 discipline instead of scattered file handles.
 
-Similarly, ``import numpy`` under ``src/`` is forbidden outside
-``statespace/np_backend.py``: numpy is an *optional* accelerator, and
-that module is the single gated entry point that degrades to pure
-python when it is absent.  A stray import anywhere else would make the
-library hard-require numpy and break containers without it.
+Similarly, ``import numpy`` is forbidden anywhere under ``src/``: the
+library runs on the standard library alone.
 
 Likewise, importing a registered case study's algorithm package
 (``repro.algorithms.lehmann_rabin``, ``benor``, ``election`` or
@@ -199,10 +196,6 @@ def _is_seeds_module(path):
     return Path(path).parts[-2:] == ("parallel", "seeds.py")
 
 
-def _is_np_backend_module(path):
-    return Path(path).parts[-2:] == ("statespace", "np_backend.py")
-
-
 def _is_durable_io_module(path):
     return Path(path).parts[-2:] == ("repro", "durable_io.py")
 
@@ -332,16 +325,13 @@ def banned_handlers(path):
                      "torn-tail-repairing append discipline backs "
                      "crash recovery")
                 )
-    if not _is_np_backend_module(path):
-        for node in ast.walk(tree):
-            if _imports_numpy(node):
-                findings.append(
-                    (node.lineno,
-                     "import numpy only inside "
-                     "statespace/np_backend.py — numpy is an optional "
-                     "accelerator behind that one gated module; "
-                     "everything else must run without it")
-                )
+    for node in ast.walk(tree):
+        if _imports_numpy(node):
+            findings.append(
+                (node.lineno,
+                 "no numpy under src/ — the library runs on the "
+                 "standard library alone")
+            )
     if not _may_import_algorithms(path):
         for node in ast.walk(tree):
             study = _imported_case_study(node)
