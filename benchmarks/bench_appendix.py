@@ -27,7 +27,7 @@ LEMMA_IDS = [lemma.name for lemma in ap.conditional_lemmas(3)]
 def test_conditional_lemma_exact(benchmark, index):
     lemma = ap.conditional_lemmas(3)[index]
     result = benchmark.pedantic(
-        ap.check_conditional_lemma, args=(lemma, 3), rounds=1, iterations=1
+        ap.check_lemma, args=(lemma, 3), rounds=1, iterations=1
     )
     print(
         f"\n{result.name}: {result.states_checked} hypothesis states, "
@@ -42,7 +42,7 @@ def test_probabilistic_lemma_exact(benchmark, which):
         ap.lemma_a12(3) if which == "A.12" else ap.lemma_a13(3)
     )
     result = benchmark.pedantic(
-        ap.check_probabilistic_lemma, args=(lemma, 3), rounds=1, iterations=1
+        ap.check_lemma, args=(lemma, 3), rounds=1, iterations=1
     )
     print(
         f"\n{result.name}: {result.states_checked} hypothesis states, "
@@ -59,7 +59,7 @@ def test_appendix_summary_table(benchmark):
     def run():
         rows = []
         for lemma in ap.conditional_lemmas(3):
-            result = ap.check_conditional_lemma(lemma, 3)
+            result = ap.check_lemma(lemma, 3)
             rows.append(
                 (
                     result.name,
@@ -70,7 +70,7 @@ def test_appendix_summary_table(benchmark):
                 )
             )
         for lemma in ap.probabilistic_lemmas(3):
-            result = ap.check_probabilistic_lemma(lemma, 3)
+            result = ap.check_lemma(lemma, 3)
             rows.append(
                 (
                     result.name,

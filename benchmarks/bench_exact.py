@@ -16,57 +16,23 @@ from fractions import Fraction
 import pytest
 
 from repro.algorithms import lehmann_rabin as lr
+from repro.algorithms.lehmann_rabin.exhaustive import LEAF_SPECS
 from repro.analysis.reporting import format_table
-from repro.mdp.bounded import min_reach_probability_rounds
-
-
-def strip(state):
-    return state.untimed()
+from repro.mdp.bounded import min_reach_over_starts
 
 
 def exact_min_over(setup, region, target, rounds, count, seed):
     starts = lr.sample_states_in(region, setup.n, count, random.Random(seed))
-    values = [
-        min_reach_probability_rounds(
-            setup.automaton, setup.view, target, start, rounds, strip
-        )
-        for start in starts
-    ]
-    worst = min(range(len(values)), key=lambda i: values[i])
-    return values[worst], starts[worst]
-
-
-CASES = [
-    ("A.1", lr.P_CLASS, lr.in_critical, 1, Fraction(1)),
-    (
-        "A.3",
-        lr.T_CLASS,
-        lambda s: lr.in_reduced_trying(s) or lr.in_critical(s),
-        2,
-        Fraction(1),
-    ),
-    (
-        "A.15",
-        lr.RT_CLASS,
-        lambda s: lr.in_flip_ready(s) or lr.in_good(s) or lr.in_pre_critical(s),
-        3,
-        Fraction(1),
-    ),
-    (
-        "A.14",
-        lr.F_CLASS,
-        lambda s: lr.in_good(s) or lr.in_pre_critical(s),
-        2,
-        Fraction(1, 2),
-    ),
-    ("A.11", lr.G_CLASS, lr.in_pre_critical, 5, Fraction(1, 4)),
-]
+    return min_reach_over_starts(
+        setup.automaton, setup.view, target, starts, rounds,
+        strip_time=lambda s: s.untimed(),
+    )
 
 
 @pytest.mark.parametrize(
     "name,region,target,rounds,bound",
-    CASES,
-    ids=[f"exact_{case[0]}" for case in CASES],
+    [(name, *spec) for name, spec in LEAF_SPECS.items()],
+    ids=[f"exact_{name}" for name in LEAF_SPECS],
 )
 def test_exact_leaf_bounds_n3(benchmark, setup3, name, region, target,
                               rounds, bound):
@@ -96,33 +62,34 @@ def test_exact_composed_bound_n3(benchmark, setup3):
 
 def test_exact_A14_n4(benchmark, setup4):
     """The F arrow exactly on a ring of four."""
-    target = lambda s: lr.in_good(s) or lr.in_pre_critical(s)
+    region, target, rounds, bound = LEAF_SPECS["A.14"]
     value, witness = benchmark.pedantic(
         exact_min_over,
-        args=(setup4, lr.F_CLASS, target, 2, 4, 7),
+        args=(setup4, region, target, rounds, 4, 7),
         rounds=1,
         iterations=1,
     )
-    print(f"\nexact min for A.14 on n=4: {value} (claimed >= 1/2)")
-    assert value >= Fraction(1, 2)
+    print(f"\nexact min for A.14 on n=4: {value} (claimed >= {bound})")
+    assert value >= bound
 
 
 def test_exact_A11_n4(benchmark, setup4):
     """The G arrow exactly on a ring of four."""
+    region, target, rounds, bound = LEAF_SPECS["A.11"]
     value, witness = benchmark.pedantic(
         exact_min_over,
-        args=(setup4, lr.G_CLASS, lr.in_pre_critical, 5, 3, 11),
+        args=(setup4, region, target, rounds, 3, 11),
         rounds=1,
         iterations=1,
     )
-    print(f"\nexact min for A.11 on n=4: {value} (claimed >= 1/4)")
-    assert value >= Fraction(1, 4)
+    print(f"\nexact min for A.11 on n=4: {value} (claimed >= {bound})")
+    assert value >= bound
 
 
 def test_exact_values_table(setup3):
     """A summary table of the exact minima (no timing)."""
     rows = []
-    for name, region, target, rounds, bound in CASES:
+    for name, (region, target, rounds, bound) in LEAF_SPECS.items():
         value, _ = exact_min_over(setup3, region, target, rounds, 6, 3)
         rows.append((name, str(rounds), str(bound), str(value)))
     print()

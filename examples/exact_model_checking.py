@@ -57,7 +57,7 @@ def main() -> None:
 
     print("\n" + banner("(ii) A conditional appendix lemma, exactly"))
     lemma = ap.lemma_a9(n)
-    result = ap.check_conditional_lemma(lemma, n)
+    result = ap.check_lemma(lemma, n)
     print(
         f"{result.name}: {result.states_checked} hypothesis states, "
         f"max counterexample probability = {result.worst_value} "

@@ -12,12 +12,13 @@ This module encodes every one of them as data
 (:class:`ConditionalLemma` / :class:`ProbabilisticLemma`) and checks
 them *exactly*: hypothesis states are enumerated exhaustively from the
 Lemma 6.1-consistent combinations of the constrained local states, and
-the counterexample probability is maximised over every strategy of the
-round-synchronous Unit-Time subclass
-(:func:`repro.mdp.conditional.max_counterexample_probability_rounds`).
-A lemma passes when that maximum is zero (conditional lemmas) or when
-the exact minimum success probability meets the bound (probabilistic
-lemmas).
+:func:`check_lemma` minimises, over every strategy of the
+round-synchronous Unit-Time subclass, the probability of reaching the
+conclusion — for a conditional lemma, of reaching it or breaking a
+``first(...)`` constraint (:func:`repro.mdp.bounded.min_reach_over_starts`
+with ``watched``).  A conditional lemma passes when that minimum is 1,
+i.e. its worst counterexample probability is zero; a probabilistic
+lemma when the minimum meets its bound.
 
 One transcription note: the symmetric clause of Lemma A.8 reads
 ``X_i in {E_R, R, F, D}`` in the paper; by the symmetry with the first
@@ -33,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.algorithms.lehmann_rabin.automaton import (
     FLIP,
@@ -56,8 +57,7 @@ from repro.algorithms.lehmann_rabin.state import (
 )
 from repro.automaton.signature import Action
 from repro.errors import VerificationError
-from repro.mdp.bounded import min_reach_probability_rounds
-from repro.mdp.conditional import max_counterexample_probability_rounds
+from repro.mdp.bounded import min_reach_over_starts
 
 #: Every local state (pc, u) a process can occupy.
 ALL_LOCALS: Tuple[ProcessState, ...] = tuple(
@@ -290,6 +290,16 @@ def lemma_a8(n: int, variant: str = "left", i: int = 0) -> ConditionalLemma:
     )
 
 
+def _needs_three_processes(name: str, n: int) -> None:
+    """A.9 and A.10 constrain three ring positions; on a smaller ring
+    two of them are the same process and a different claim results."""
+    if n < 3:
+        raise VerificationError(
+            f"lemma {name} names three processes and needs a ring of at "
+            f"least 3, got {n}"
+        )
+
+
 def lemma_a9(n: int, i: int = 1) -> ConditionalLemma:
     """A.9: the three-process configuration around a left-waiting process.
 
@@ -298,6 +308,7 @@ def lemma_a9(n: int, i: int = 1) -> ConditionalLemma:
     ``first(flip_{i+1}, right)``, one of the three enters ``P`` within
     time 5.
     """
+    _needs_three_processes("A.9", n)
     h, j = (i - 1) % n, (i + 1) % n
     constraints = {
         h: ER_R_T,
@@ -321,6 +332,7 @@ def lemma_a9(n: int, i: int = 1) -> ConditionalLemma:
 
 def lemma_a10(n: int, i: int = 0) -> ConditionalLemma:
     """A.10: the mirror image of A.9."""
+    _needs_three_processes("A.10", n)
     j, k = (i + 1) % n, (i + 2) % n
     constraints = {
         i: ER_R_F
@@ -455,70 +467,36 @@ class LemmaCheckResult:
     witness: object = None
 
 
-def check_conditional_lemma(
-    lemma: ConditionalLemma,
+def check_lemma(
+    lemma: Union[ConditionalLemma, ProbabilisticLemma],
     n: int,
     max_states: int = 10_000,
 ) -> LemmaCheckResult:
-    """Exact check: max counterexample probability must be zero.
+    """Check one lemma exactly over (at most ``max_states`` of) its
+    hypothesis states and every round-synchronous Unit-Time strategy.
 
-    Maximised over every round-synchronous Unit-Time strategy and every
-    hypothesis state.
+    One sweep computes the minimum probability of reaching the
+    conclusion — or, for a conditional lemma, of reaching it or
+    breaking a watched constraint.  A conditional lemma reports the
+    worst counterexample probability ``1 - minimum`` and holds iff the
+    minimum is 1; a probabilistic lemma reports the minimum and holds
+    iff it meets the lemma's bound.
     """
-    automaton = lehmann_rabin_automaton(n)
-    view = LRProcessView(n)
-    worst = Fraction(0)
-    witness = None
     states = lemma.hypothesis_states[:max_states]
-    for state in states:
-        value = max_counterexample_probability_rounds(
-            automaton,
-            view,
-            lemma.watched,
-            lemma.conclusion,
-            state,
-            lemma.time_bound,
-            strip_time=lambda s: s.untimed(),
-        )
-        if value > worst:
-            worst = value
-            witness = state
-    return LemmaCheckResult(
-        name=lemma.name,
-        states_checked=len(states),
-        worst_value=worst,
-        holds=(worst == 0),
-        witness=witness,
+    conditional = isinstance(lemma, ConditionalLemma)
+    minimum, witness = min_reach_over_starts(
+        lehmann_rabin_automaton(n),
+        LRProcessView(n),
+        lemma.conclusion,
+        states,
+        lemma.time_bound,
+        strip_time=lambda s: s.untimed(),
+        watched=lemma.watched if conditional else None,
     )
-
-
-def check_probabilistic_lemma(
-    lemma: ProbabilisticLemma,
-    n: int,
-    max_states: int = 10_000,
-) -> LemmaCheckResult:
-    """Exact check: min success probability must meet the lemma's bound."""
-    automaton = lehmann_rabin_automaton(n)
-    view = LRProcessView(n)
-    worst = Fraction(1)
-    witness = None
-    states = lemma.hypothesis_states[:max_states]
-    for state in states:
-        value = min_reach_probability_rounds(
-            automaton,
-            view,
-            lemma.conclusion,
-            state,
-            lemma.time_bound,
-            strip_time=lambda s: s.untimed(),
-        )
-        if value < worst:
-            worst = value
-            witness = state
     return LemmaCheckResult(
         name=lemma.name,
         states_checked=len(states),
-        worst_value=worst,
-        holds=(worst >= lemma.probability),
+        worst_value=1 - minimum if conditional else minimum,
+        holds=minimum == 1 if conditional else minimum >= lemma.probability,
         witness=witness,
     )

@@ -31,49 +31,23 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    from fractions import Fraction
-
     from repro.algorithms import lehmann_rabin as lr
+    from repro.algorithms.lehmann_rabin.exhaustive import LEAF_SPECS
     from repro.analysis.reporting import banner, format_table
-    from repro.mdp.bounded import min_reach_probability_rounds
+    from repro.mdp.bounded import min_reach_over_starts
     from repro.parallel.seeds import rng_from_seed
-
-    def strip(state):
-        return state.untimed()
 
     automaton = lr.lehmann_rabin_automaton(args.n)
     view = lr.LRProcessView(args.n)
     rng = rng_from_seed(args.seed)
-    cases = [
-        ("A.1", lr.P_CLASS, lr.in_critical, 1, Fraction(1)),
-        (
-            "A.3", lr.T_CLASS,
-            lambda s: lr.in_reduced_trying(s) or lr.in_critical(s),
-            2, Fraction(1),
-        ),
-        (
-            "A.15", lr.RT_CLASS,
-            lambda s: lr.in_flip_ready(s) or lr.in_good(s)
-            or lr.in_pre_critical(s),
-            3, Fraction(1),
-        ),
-        (
-            "A.14", lr.F_CLASS,
-            lambda s: lr.in_good(s) or lr.in_pre_critical(s),
-            2, Fraction(1, 2),
-        ),
-        ("A.11", lr.G_CLASS, lr.in_pre_critical, 5, Fraction(1, 4)),
-    ]
     print(banner(f"Exact round-synchronous minima, ring size {args.n}"))
     rows = []
     failures = 0
-    for name, region, target, rounds, bound in cases:
+    for name, (region, target, rounds, bound) in LEAF_SPECS.items():
         starts = lr.sample_states_in(region, args.n, args.states, rng)
-        worst = min(
-            min_reach_probability_rounds(
-                automaton, view, target, start, rounds, strip
-            )
-            for start in starts
+        worst, _ = min_reach_over_starts(
+            automaton, view, target, starts, rounds,
+            strip_time=lambda s: s.untimed(),
         )
         holds = worst >= bound
         failures += not holds
@@ -91,33 +65,21 @@ def cmd_appendix(args: argparse.Namespace) -> int:
     from repro.algorithms.lehmann_rabin import appendix as ap
     from repro.analysis.reporting import banner, format_table
 
+    lemmas = [
+        *ap.conditional_lemmas(args.n), *ap.probabilistic_lemmas(args.n)
+    ]
     print(banner(f"Appendix lemmas, exactly, ring size {args.n}"))
     rows = []
     failures = 0
-    for lemma in ap.conditional_lemmas(args.n):
-        result = ap.check_conditional_lemma(lemma, args.n)
+    for lemma in lemmas:
+        result = ap.check_lemma(lemma, args.n)
         failures += not result.holds
-        rows.append(
-            (
-                result.name,
-                result.states_checked,
-                f"t={lemma.time_bound}",
-                str(result.worst_value),
-                "ok" if result.holds else "FAILS",
-            )
-        )
-    for lemma in ap.probabilistic_lemmas(args.n):
-        result = ap.check_probabilistic_lemma(lemma, args.n)
-        failures += not result.holds
-        rows.append(
-            (
-                result.name,
-                result.states_checked,
-                f"t={lemma.time_bound}, p>={lemma.probability}",
-                str(result.worst_value),
-                "ok" if result.holds else "FAILS",
-            )
-        )
+        claim = f"t={lemma.time_bound}"
+        if isinstance(lemma, ap.ProbabilisticLemma):
+            claim += f", p>={lemma.probability}"
+        rows.append((result.name, result.states_checked, claim,
+                     str(result.worst_value),
+                     "ok" if result.holds else "FAILS"))
     print(format_table(
         ("lemma", "states", "claim", "exact worst value", "verdict"), rows
     ))
@@ -133,37 +95,17 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import banner, format_table
 
     print(banner("Exhaustive verification over entire regions (n = 3)"))
-    rows = []
-    failures = 0
-    for name in sorted(LEAF_SPECS):
-        result = exhaustive_leaf_check(name, 3)
-        failures += not result.holds
-        rows.append(
-            (
-                result.name,
-                result.region,
-                result.states_checked,
-                str(result.bound),
-                str(result.exact_minimum),
-                "ok" if result.holds else "FAILS",
-            )
-        )
+    results = [exhaustive_leaf_check(name, 3) for name in sorted(LEAF_SPECS)]
     if args.composed:
-        result = exhaustive_composed_check(3, rounds=13)
-        failures += not result.holds
-        rows.append(
-            (
-                "composed",
-                result.region,
-                result.states_checked,
-                str(result.bound),
-                str(result.exact_minimum),
-                "ok" if result.holds else "FAILS",
-            )
-        )
+        results.append(exhaustive_composed_check(3, rounds=13))
     print(format_table(
         ("proposition", "region", "states", "paper bound",
          "exhaustive min", "verdict"),
-        rows,
+        [
+            (result.name, result.region, result.states_checked,
+             str(result.bound), str(result.exact_minimum),
+             "ok" if result.holds else "FAILS")
+            for result in results
+        ],
     ))
-    return 1 if failures else 0
+    return 0 if all(result.holds for result in results) else 1

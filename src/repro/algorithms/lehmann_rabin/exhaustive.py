@@ -23,19 +23,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.algorithms.lehmann_rabin.automaton import (
     LRProcessView,
     lehmann_rabin_automaton,
+    lr_time_of,
 )
-from repro.algorithms.lehmann_rabin.regions import (
-    F_CLASS,
-    G_CLASS,
-    P_CLASS,
-    RT_CLASS,
-    T_CLASS,
-    in_critical,
-    in_flip_ready,
-    in_good,
-    in_pre_critical,
-    in_reduced_trying,
-)
+from repro.algorithms.lehmann_rabin.proof import leaf_statements
+from repro.algorithms.lehmann_rabin.regions import T_CLASS, in_critical
 from repro.algorithms.lehmann_rabin.state import (
     LRState,
     PC,
@@ -44,9 +35,8 @@ from repro.algorithms.lehmann_rabin.state import (
     consistent_resources,
     make_state,
 )
-from repro.algorithms.lehmann_rabin.automaton import lr_time_of
 from repro.errors import StateBudgetExceeded, VerificationError
-from repro.mdp.bounded import min_reach_probability_rounds
+from repro.mdp.bounded import min_reach_over_starts
 from repro.proofs.statements import StateClass
 from repro.statespace.compile import CompiledSpace, SpaceSpec, compile_space
 
@@ -101,28 +91,19 @@ class ExhaustiveResult:
         return self.exact_minimum - self.bound
 
 
-#: name -> (region class, target predicate, rounds, paper bound)
+_LEAVES = leaf_statements()
+
+#: name -> (region class, target predicate, rounds, paper bound) of the
+#: five leaf propositions, in the row order ``repro exact`` prints (and
+#: draws its start states in).
 LEAF_SPECS: Dict[str, Tuple[StateClass, Callable, int, Fraction]] = {
-    "A.1": (P_CLASS, in_critical, 1, Fraction(1)),
-    "A.3": (
-        T_CLASS,
-        lambda s: in_reduced_trying(s) or in_critical(s),
-        2,
-        Fraction(1),
-    ),
-    "A.15": (
-        RT_CLASS,
-        lambda s: in_flip_ready(s) or in_good(s) or in_pre_critical(s),
-        3,
-        Fraction(1),
-    ),
-    "A.14": (
-        F_CLASS,
-        lambda s: in_good(s) or in_pre_critical(s),
-        2,
-        Fraction(1, 2),
-    ),
-    "A.11": (G_CLASS, in_pre_critical, 5, Fraction(1, 4)),
+    name: (
+        _LEAVES[name].source,
+        _LEAVES[name].target.contains,
+        int(_LEAVES[name].time_bound),
+        _LEAVES[name].probability,
+    )
+    for name in ("A.1", "A.3", "A.15", "A.14", "A.11")
 }
 
 
@@ -145,45 +126,52 @@ def _exhaustive_space(
         return None
 
 
-def exhaustive_leaf_check(name: str, n: int = 3) -> ExhaustiveResult:
-    """Check one leaf proposition over its entire region, exactly.
+def _sweep(
+    name: str,
+    region: StateClass,
+    target: Callable,
+    rounds: int,
+    bound: Fraction,
+    n: int,
+    limit: Optional[int] = None,
+) -> ExhaustiveResult:
+    """The exact minimum of ``region --rounds--> target`` over the region.
 
     The region's reachable space is compiled once and its interned ids
-    key a memo table shared across all member states — neighbouring
-    starts reuse almost every subproblem, which is what makes the full
-    sweeps fast enough for the tier-1 suite.
+    key the memo table :func:`min_reach_over_starts` shares across all
+    member states — neighbouring starts reuse almost every subproblem,
+    which is what makes the full sweeps fast enough for the tier-1
+    suite.
     """
-    spec = LEAF_SPECS.get(name)
-    if spec is None:
-        raise VerificationError(
-            f"unknown proposition {name!r}; choose from {sorted(LEAF_SPECS)}"
-        )
-    region, target, rounds, bound = spec
     automaton = lehmann_rabin_automaton(n)
-    view = LRProcessView(n)
     members = [s for s in all_consistent_states(n) if region.contains(s)]
+    if limit is not None:
+        members = members[:limit]
     if not members:
         raise VerificationError(f"region {region.name!r} is empty for n={n}")
-    space = _exhaustive_space(automaton, members)
-    memo: Dict = {}
-    worst = Fraction(1)
-    witness: Optional[LRState] = None
-    for state in members:
-        value = min_reach_probability_rounds(
-            automaton, view, target, state, rounds,
-            strip_time=lambda s: s.untimed(),
-            space=space, memo=memo,
-        )
-        if value < worst:
-            worst, witness = value, state
+    minimum, witness = min_reach_over_starts(
+        automaton, LRProcessView(n), target, members, rounds,
+        strip_time=lambda s: s.untimed(),
+        space=_exhaustive_space(automaton, members),
+    )
     return ExhaustiveResult(
         name=name,
         region=region.name,
         states_checked=len(members),
         bound=bound,
-        exact_minimum=worst,
+        exact_minimum=minimum,
         witness=witness,
     )
+
+
+def exhaustive_leaf_check(name: str, n: int = 3) -> ExhaustiveResult:
+    """Check one leaf proposition over its entire region, exactly."""
+    spec = LEAF_SPECS.get(name)
+    if spec is None:
+        raise VerificationError(
+            f"unknown proposition {name!r}; choose from {sorted(LEAF_SPECS)}"
+        )
+    return _sweep(name, *spec, n)
 
 
 def exhaustive_composed_check(
@@ -191,32 +179,9 @@ def exhaustive_composed_check(
 ) -> ExhaustiveResult:
     """``T --13--> C`` over (optionally the first ``limit``) T states.
 
-    The full sweep over all T states takes a few minutes at n = 3; the
-    benchmarks run it with a limit by default and the full version in
-    the slow path.
+    The full sweep over all 3896 T states takes about 12 seconds at
+    n = 3 on a 2-CPU host; the tier-1 suite runs it with a limit.
     """
-    automaton = lehmann_rabin_automaton(n)
-    view = LRProcessView(n)
-    members = [s for s in all_consistent_states(n) if T_CLASS.contains(s)]
-    if limit is not None:
-        members = members[:limit]
-    space = _exhaustive_space(automaton, members)
-    memo: Dict = {}
-    worst = Fraction(1)
-    witness: Optional[LRState] = None
-    for state in members:
-        value = min_reach_probability_rounds(
-            automaton, view, in_critical, state, rounds,
-            strip_time=lambda s: s.untimed(),
-            space=space, memo=memo,
-        )
-        if value < worst:
-            worst, witness = value, state
-    return ExhaustiveResult(
-        name="composed",
-        region=T_CLASS.name,
-        states_checked=len(members),
-        bound=Fraction(1, 8),
-        exact_minimum=worst,
-        witness=witness,
+    return _sweep(
+        "composed", T_CLASS, in_critical, rounds, Fraction(1, 8), n, limit
     )

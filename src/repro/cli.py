@@ -271,10 +271,25 @@ def _sampling_run(args: argparse.Namespace):
         yield model, run
 
 
-def _cmd_prove(args: argparse.Namespace) -> int:
-    from repro.models.lr import lr_exact_commands
+def _lr_commands(args: argparse.Namespace):
+    """The Lehmann-Rabin exact commands, once ``--n`` and ``--states``
+    are usable (a :class:`VerificationError`, exit status 2, if not).
 
-    return lr_exact_commands().cmd_prove(args)
+    ``prove``, ``exact``, ``appendix``, ``exhaustive`` and ``all``
+    dispatch through here, so ``all`` checks its flags before
+    printing anything.
+    """
+    from repro.models.lr import LR_MODEL, lr_exact_commands
+
+    if hasattr(args, "n"):
+        LR_MODEL.validate_n(args.n)
+    if getattr(args, "states", 1) < 1:
+        raise VerificationError(f"--states must be >= 1, got {args.states}")
+    return lr_exact_commands()
+
+
+def _cmd_prove(args: argparse.Namespace) -> int:
+    return _lr_commands(args).cmd_prove(args)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -354,15 +369,11 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    from repro.models.lr import lr_exact_commands
-
-    return lr_exact_commands().cmd_exact(args)
+    return _lr_commands(args).cmd_exact(args)
 
 
 def _cmd_appendix(args: argparse.Namespace) -> int:
-    from repro.models.lr import lr_exact_commands
-
-    return lr_exact_commands().cmd_appendix(args)
+    return _lr_commands(args).cmd_appendix(args)
 
 
 def _cmd_expected_time(args: argparse.Namespace) -> int:
@@ -965,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--composed", action="store_true",
                    help="also sweep T --13--> C over all 3896 T states "
-                        "(about 40 seconds)")
+                        "(about 15 seconds)")
     p.set_defaults(func=_cmd_exhaustive)
 
     add_command(
@@ -1219,9 +1230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_exhaustive(args: argparse.Namespace) -> int:
-    from repro.models.lr import lr_exact_commands
-
-    return lr_exact_commands().cmd_exhaustive(args)
+    return _lr_commands(args).cmd_exhaustive(args)
 
 
 def _cmd_all(args: argparse.Namespace) -> int:

@@ -1,14 +1,12 @@
 """Exact extremal-probability checking (MDP view of the automaton)."""
 
 from repro.mdp.bounded import min_reach_over_starts, min_reach_probability_rounds
-from repro.mdp.conditional import max_counterexample_probability_rounds
 from repro.mdp.expected_time import extremal_expected_time_rounds
 from repro.mdp.value_iteration import bounded_reachability, unbounded_reachability
 
 __all__ = [
     "bounded_reachability",
     "extremal_expected_time_rounds",
-    "max_counterexample_probability_rounds",
     "min_reach_over_starts",
     "min_reach_probability_rounds",
     "unbounded_reachability",

@@ -34,8 +34,8 @@ from typing import (
 from repro import obs
 from repro.adversary.unit_time import ProcessView
 from repro.automaton.automaton import ProbabilisticAutomaton
-from repro.automaton.signature import TIME_PASSAGE
 from repro.errors import VerificationError
+from repro.mdp.bounded import round_moves
 
 State = TypeVar("State", bound=Hashable)
 
@@ -111,13 +111,8 @@ def _solve(
             continue
         is_target[node] = False
         node_moves: List[object] = []
-        pending = view.ready(state) - stepped
-        for step in automaton.transitions(state):
-            if step.action == TIME_PASSAGE:
-                continue
-            process = view.process_of(step.action)
-            if process is None or process in stepped:
-                continue
+        steps, may_close = round_moves(automaton, view, state, stepped)
+        for process, step in steps:
             new_stepped = stepped | {process}
             outcome = []
             for successor, weight in step.target.items():
@@ -132,7 +127,7 @@ def _solve(
                         )
                     frontier.append(child)
             node_moves.append(("step", outcome))
-        if not pending:
+        if may_close:
             child = (key, frozenset())
             node_moves.append(("advance", child))
             if child not in seen:

@@ -73,7 +73,7 @@ METRICS: Dict[str, Tuple[str, str]] = {
     "mdp.bounded_rounds.calls": (
         "counter", "round-bounded reachability evaluations"),
     "mdp.bounded_rounds.states_evaluated": (
-        "counter", "memoised states touched by round-bounded reachability"),
+        "counter", "memo entries added by round-bounded reachability"),
     "mdp.expected_time.nodes": (
         "gauge", "nodes in the expected-time MDP"),
     "mdp.expected_time.residual": (

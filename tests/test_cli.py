@@ -6,6 +6,59 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: ``repro exact --states 2``, byte for byte.  The exact layer's
+#: reports are pinned whole: every value in them is an exact Fraction,
+#: so no change to the induction or the sweep may move a byte.
+EXACT_STDOUT = "".join(line + "\n" for line in (
+    "===========================================",
+    "Exact round-synchronous minima, ring size 3",
+    "===========================================",
+    "proposition  rounds  paper bound  exact worst min  verdict",
+    "-----------  ------  -----------  ---------------  -------",
+    "A.1          1       1            1                ok     ",
+    "A.3          2       1            1                ok     ",
+    "A.15         3       1            1                ok     ",
+    "A.14         2       1/2          1                ok     ",
+    "A.11         5       1/4          1                ok     ",
+))
+
+#: ``repro appendix``, byte for byte.
+APPENDIX_STDOUT = "".join(line + "\n" for line in (
+    "=====================================",
+    "Appendix lemmas, exactly, ring size 3",
+    "=====================================",
+    "lemma        states  claim        exact worst value  verdict",
+    "-----------  ------  -----------  -----------------  -------",
+    "A.2          1248    t=3          0                  ok     ",
+    "A.4.1        120     t=1          0                  ok     ",
+    "A.4.2        31      t=2          0                  ok     ",
+    "A.4.3        31      t=3          0                  ok     ",
+    "A.4.4        40      t=4          0                  ok     ",
+    "A.5          244     t=4          0                  ok     ",
+    "A.7 (left)   19      t=1          0                  ok     ",
+    "A.7 (right)  19      t=1          0                  ok     ",
+    "A.8 (left)   74      t=1          0                  ok     ",
+    "A.8 (right)  74      t=1          0                  ok     ",
+    "A.9          108     t=5          0                  ok     ",
+    "A.10         108     t=5          0                  ok     ",
+    "A.12         866     t=1, p>=1/2  1/2                ok     ",
+    "A.13         54      t=2, p>=1/2  1                  ok     ",
+))
+
+#: ``repro exhaustive``, byte for byte.
+EXHAUSTIVE_STDOUT = "".join(line + "\n" for line in (
+    "===================================================",
+    "Exhaustive verification over entire regions (n = 3)",
+    "===================================================",
+    "proposition  region  states  paper bound  exhaustive min  verdict",
+    "-----------  ------  ------  -----------  --------------  -------",
+    "A.1          P       672     1            1               ok     ",
+    "A.11         G       1044    1/4          1/2             ok     ",
+    "A.14         F       920     1/2          1               ok     ",
+    "A.15         RT      2096    1            1               ok     ",
+    "A.3          T       3896    1            1               ok     ",
+))
+
 
 class TestParser:
     def test_requires_a_command(self):
@@ -77,11 +130,13 @@ class TestCommands:
         assert main(["exact", "--states", "2"]) == 0
         out = capsys.readouterr().out
         assert "A.14" in out and "FAILS" not in out
+        assert out == EXACT_STDOUT
 
     def test_appendix(self, capsys):
         assert main(["appendix"]) == 0
         out = capsys.readouterr().out
         assert "A.9" in out and "FAILS" not in out
+        assert out == APPENDIX_STDOUT
 
     def test_expected_time_small(self, capsys):
         assert main(["expected-time", "--samples", "8"]) == 0
@@ -107,6 +162,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "A.11" in out and "1/2" in out
         assert "FAILS" not in out
+        assert out == EXHAUSTIVE_STDOUT
 
     def test_all(self, capsys):
         assert main(["all", "--states", "2"]) == 0
@@ -171,6 +227,11 @@ class TestModelsFrontEnd:
     ("sweep --sizes 3,x", "comma-separated integers, got '3,x'"),
     ("check --state-budget 0", "state budget must be >= 1, got 0"),
     ("check --state-budget -3", "state budget must be >= 1, got -3"),
+    ("exact --n 1", "needs at least two processes, got 1"),
+    ("appendix --n 0", "needs at least two processes, got 0"),
+    ("appendix --n 2", "lemma A.9 names three processes"),
+    ("exact --states 0", "--states must be >= 1, got 0"),
+    ("exact --states -2", "--states must be >= 1, got -2"),
 ])
 def test_unusable_flag_values_exit_2(argv, message, capsys):
     assert main(argv.split()) == 2

@@ -71,7 +71,7 @@ class TestConditionalLemmasExactly:
     )
     def test_lemma_holds_exactly_n3(self, index):
         lemma = ap.conditional_lemmas(3)[index]
-        result = ap.check_conditional_lemma(lemma, 3)
+        result = ap.check_lemma(lemma, 3)
         assert result.holds, (
             f"{result.name}: counterexample probability "
             f"{result.worst_value} from {result.witness!r}"
@@ -81,39 +81,39 @@ class TestConditionalLemmasExactly:
     @pytest.mark.parametrize("variant", ["left", "right"])
     def test_a7_holds_exhaustively_on_ring4(self, variant):
         lemma = ap.lemma_a7(4, variant)
-        result = ap.check_conditional_lemma(lemma, 4)
+        result = ap.check_lemma(lemma, 4)
         assert result.holds
         assert result.states_checked == 305  # the full hypothesis set
 
     @pytest.mark.parametrize("variant", ["left", "right"])
     def test_a8_holds_exhaustively_on_ring4(self, variant):
         lemma = ap.lemma_a8(4, variant)
-        result = ap.check_conditional_lemma(lemma, 4)
+        result = ap.check_lemma(lemma, 4)
         assert result.holds
         assert result.states_checked == 1270
         assert result.worst_value == 0
 
     def test_a4_1_holds_on_ring4(self):
         lemma = ap.lemma_a4(4, 1)
-        result = ap.check_conditional_lemma(lemma, 4, max_states=40)
+        result = ap.check_lemma(lemma, 4, max_states=40)
         assert result.holds
         assert result.worst_value == 0
 
     def test_a8_left_holds_on_ring4(self):
         lemma = ap.lemma_a8(4, "left")
-        result = ap.check_conditional_lemma(lemma, 4, max_states=40)
+        result = ap.check_lemma(lemma, 4, max_states=40)
         assert result.holds
 
 
 class TestProbabilisticLemmasExactly:
     def test_a12_holds_and_is_tight(self):
-        result = ap.check_probabilistic_lemma(ap.lemma_a12(3), 3)
+        result = ap.check_lemma(ap.lemma_a12(3), 3)
         assert result.holds
         # The paper's 1/2 is exactly attained by the optimal spoiler.
         assert result.worst_value == Fraction(1, 2)
 
     def test_a13_holds(self):
-        result = ap.check_probabilistic_lemma(ap.lemma_a13(3), 3)
+        result = ap.check_lemma(ap.lemma_a13(3), 3)
         assert result.holds
         assert result.worst_value >= Fraction(1, 2)
 
@@ -139,59 +139,57 @@ class TestPaperTypoInA8:
             time_bound=1,
             conclusion=ap._any_in_p(0, 1),
         )
-        result = ap.check_conditional_lemma(bad, 3)
+        result = ap.check_lemma(bad, 3)
         assert not result.holds
         assert result.worst_value == 1
 
 
 class TestConditionalChecker:
+    """The worst counterexample probability of a conditional claim is
+    one minus the minimum probability of reaching its conclusion or
+    breaking a watched constraint."""
+
     def test_max_counterexample_zero_rounds(self):
         from repro.algorithms import lehmann_rabin as lr
-        from repro.mdp.conditional import (
-            max_counterexample_probability_rounds,
-        )
+        from repro.mdp.bounded import min_reach_probability_rounds
 
         automaton = lr.lehmann_rabin_automaton(3)
         view = lr.LRProcessView(3)
         start = lr.canonical_states(3)["all_flip"]
         # Zero rounds, conclusion not yet true: certain counterexample.
-        value = max_counterexample_probability_rounds(
-            automaton, view, {}, lr.in_critical, start, 0,
-            strip_time=lambda s: s.untimed(),
+        value = 1 - min_reach_probability_rounds(
+            automaton, view, lr.in_critical, start, 0,
+            strip_time=lambda s: s.untimed(), watched={},
         )
         assert value == 1
         # Conclusion already true: no counterexample possible.
         pre = lr.canonical_states(3)["pre_critical"]
-        value = max_counterexample_probability_rounds(
-            automaton, view, {}, lr.in_pre_critical, pre, 0,
-            strip_time=lambda s: s.untimed(),
+        value = 1 - min_reach_probability_rounds(
+            automaton, view, lr.in_pre_critical, pre, 0,
+            strip_time=lambda s: s.untimed(), watched={},
         )
         assert value == 0
 
     def test_negative_rounds_rejected(self):
         from repro.algorithms import lehmann_rabin as lr
-        from repro.mdp.conditional import (
-            max_counterexample_probability_rounds,
-        )
+        from repro.mdp.bounded import min_reach_probability_rounds
 
         with pytest.raises(VerificationError):
-            max_counterexample_probability_rounds(
+            1 - min_reach_probability_rounds(
                 lr.lehmann_rabin_automaton(3),
                 lr.LRProcessView(3),
-                {},
                 lr.in_critical,
                 lr.canonical_states(3)["all_flip"],
                 -1,
                 strip_time=lambda s: s.untimed(),
+                watched={},
             )
 
     def test_watched_violation_removes_mass(self):
         """Constraining a coin halves the counterexample mass reachable
         through that coin's wrong outcome."""
         from repro.algorithms import lehmann_rabin as lr
-        from repro.mdp.conditional import (
-            max_counterexample_probability_rounds,
-        )
+        from repro.mdp.bounded import min_reach_probability_rounds
 
         automaton = lr.lehmann_rabin_automaton(3)
         view = lr.LRProcessView(3)
@@ -208,15 +206,14 @@ class TestConditionalChecker:
         def concluded(state):
             return state.process(0) == ProcessState(PC.W, Side.LEFT)
 
-        unconstrained = max_counterexample_probability_rounds(
-            automaton, view, {}, concluded, start, 1,
-            strip_time=lambda s: s.untimed(),
+        unconstrained = 1 - min_reach_probability_rounds(
+            automaton, view, concluded, start, 1,
+            strip_time=lambda s: s.untimed(), watched={},
         )
-        constrained = max_counterexample_probability_rounds(
-            automaton, view,
-            {(FLIP, 0): ap._flip_lands(0, Side.LEFT)},
-            concluded, start, 1,
+        constrained = 1 - min_reach_probability_rounds(
+            automaton, view, concluded, start, 1,
             strip_time=lambda s: s.untimed(),
+            watched={(FLIP, 0): ap._flip_lands(0, Side.LEFT)},
         )
         assert unconstrained == Fraction(1, 2)  # wrong coin = failure
         assert constrained == 0  # wrong coin leaves the event

@@ -155,6 +155,63 @@ class TestRoundSynchronousRecursion:
                 strip_time=lambda s: s.untimed(),
             )
 
+    def test_long_horizon_unreachable_target(self):
+        # 200 rounds nest far deeper than the interpreter's recursion
+        # limit; the induction runs on an explicit stack.
+        from repro.algorithms import ordered as od
+
+        automaton = od.ordered_automaton(2)
+        view = od.OrderedProcessView(2)
+        start = od.ordered_initial_state(2)
+        value = min_reach_probability_rounds(
+            automaton, view, lambda s: False, start, 200,
+            strip_time=lambda s: s.untimed(),
+        )
+        assert value == 0
+        counterexample = 1 - min_reach_probability_rounds(
+            automaton, view, lambda s: False, start, 200,
+            strip_time=lambda s: s.untimed(), watched={},
+        )
+        assert counterexample == 1
+
+    def test_long_horizon_is_monotone(self, ring3):
+        automaton, view = ring3
+        start = lr.canonical_states(3)["all_flip"]
+        short, long = (
+            min_reach_probability_rounds(
+                automaton, view, lr.in_critical, start, rounds,
+                strip_time=lambda s: s.untimed(),
+            )
+            for rounds in (80, 160)
+        )
+        assert long >= short
+
+    def test_states_evaluated_counts_each_memo_entry_once(self):
+        # The A.11 sweep shares one memo over its 1,044 G starts; the
+        # counter must add up to that table's size, not re-count it
+        # on every start.
+        from repro import obs
+        from repro.algorithms.lehmann_rabin.exhaustive import (
+            LEAF_SPECS,
+            all_consistent_states,
+            exhaustive_leaf_check,
+        )
+
+        with obs.recording() as registry:
+            exhaustive_leaf_check("A.11", 3)
+        counters = registry.metrics.snapshot()["counters"]
+        region, target, rounds, _ = LEAF_SPECS["A.11"]
+        automaton, view = lr.lehmann_rabin_automaton(3), lr.LRProcessView(3)
+        memo = {}
+        starts = [s for s in all_consistent_states(3) if region.contains(s)]
+        for start in starts:
+            min_reach_probability_rounds(
+                automaton, view, target, start, rounds,
+                strip_time=lambda s: s.untimed(), memo=memo,
+            )
+        assert counters["mdp.bounded_rounds.calls"] == len(starts)
+        assert counters["mdp.bounded_rounds.states_evaluated"] == len(memo)
+
     def test_adversary_cannot_beat_paper_bound_on_G(self, ring3):
         # Proposition A.11 exactly: from a sampled G state, the worst
         # round-synchronous adversary still reaches P within 5 rounds
