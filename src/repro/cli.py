@@ -252,13 +252,17 @@ def _sampling_run(args: argparse.Namespace):
     fault-tolerance policy and the contract guards, and keeps the
     policy's checkpoint open for the body.  ``run`` holds the keyword
     arguments every sampling call forwards unchanged.  The model, size,
-    proposition, policy, guard and state-budget flags are checked here,
-    before the command prints anything; ``repro submit`` runs the same
-    checks.
+    proposition, sample, worker, policy, guard and state-budget flags
+    are checked here, before the command prints anything; ``repro
+    submit`` runs the same checks.
     """
+    from repro.parallel.pool import resolve_workers
     from repro.statespace import resolve_state_budget
 
     model = _resolve_model(args)
+    if args.samples < 1:
+        raise VerificationError(f"--samples must be >= 1, got {args.samples}")
+    resolve_workers(args.workers)
     policy = _build_policy(args)
     run = {
         "workers": args.workers,
@@ -562,6 +566,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.contracts import audit_automaton
 
     model = _resolve_model(args)
+    if args.horizon < 1:
+        raise VerificationError(f"--horizon must be >= 1, got {args.horizon}")
     automaton = model.build(args.n).automaton
     report = audit_automaton(automaton, horizon=args.horizon)
     if args.json:

@@ -74,6 +74,17 @@ class ReachWithinTime(EventSchema[State]):
                 return EventStatus.ACCEPT
         return EventStatus.UNDECIDED
 
+    def classify_step(self, fragment: ExecutionFragment[State]) -> EventStatus:
+        # An undecided prefix met the deadline and missed the target
+        # throughout, so only the last state can decide.
+        deadline = self._time_of(fragment.fstate) + self._bound
+        state = fragment.lstate
+        if self._time_of(state) > deadline:
+            return EventStatus.REJECT
+        if self._target(state):
+            return EventStatus.ACCEPT
+        return EventStatus.UNDECIDED
+
     def decide_maximal(self, fragment: ExecutionFragment[State]) -> bool:
         # A maximal execution that never visited the target within the
         # bound is not in the event.
@@ -116,6 +127,15 @@ class ReachWithinSteps(EventSchema[State]):
             return EventStatus.REJECT
         return EventStatus.UNDECIDED
 
+    def classify_step(self, fragment: ExecutionFragment[State]) -> EventStatus:
+        # An undecided prefix is shorter than the bound, so the last
+        # state is within it.
+        if self._target(fragment.lstate):
+            return EventStatus.ACCEPT
+        if len(fragment) >= self._max_steps:
+            return EventStatus.REJECT
+        return EventStatus.UNDECIDED
+
     def __repr__(self) -> str:
         return f"ReachWithinSteps(max_steps={self._max_steps})"
 
@@ -128,6 +148,11 @@ class EventuallyReach(EventSchema[State]):
 
     def classify(self, fragment: ExecutionFragment[State]) -> EventStatus:
         if any(self._target(state) for state in fragment.states):
+            return EventStatus.ACCEPT
+        return EventStatus.UNDECIDED
+
+    def classify_step(self, fragment: ExecutionFragment[State]) -> EventStatus:
+        if self._target(fragment.lstate):
             return EventStatus.ACCEPT
         return EventStatus.UNDECIDED
 

@@ -24,6 +24,10 @@ A schema must implement:
   ``first(a, U)`` this is ``True``: the event contains executions where
   ``a`` never occurs; for reachability it is ``False``).
 
+It may also override :meth:`EventSchema.classify_step`, the same
+verdict for a fragment whose prefix is known to be ``UNDECIDED``; the
+reachability schemas answer it from the last state alone.
+
 Soundness requirement (checked property-style in the tests): once a
 fragment classifies ``ACCEPT`` or ``REJECT``, every extension classifies
 the same way.  The measure computation in
@@ -63,6 +67,18 @@ class EventSchema(Generic[State], abc.ABC):
     @abc.abstractmethod
     def classify(self, fragment: ExecutionFragment[State]) -> EventStatus:
         """The verdict determined by this finite prefix alone."""
+
+    def classify_step(self, fragment: ExecutionFragment[State]) -> EventStatus:
+        """:meth:`classify` for a fragment whose prefix is UNDECIDED.
+
+        The caller guarantees that ``fragment`` minus its last step
+        classifies UNDECIDED, as it does after every step of the
+        sampler's walk.  The default re-runs :meth:`classify`; schemas
+        whose verdict then depends on the last state alone override
+        this, so classifying a sampled execution costs time linear in
+        its length.
+        """
+        return self.classify(fragment)
 
     def decide_maximal(self, fragment: ExecutionFragment[State]) -> bool:
         """Verdict for a maximal execution still UNDECIDED at its end.

@@ -6,13 +6,16 @@ the Lehmann-Rabin experiments we instead sample maximal executions of
 Each sample threads an explicit :class:`random.Random`, so experiments
 are reproducible from their seeds.
 
-This module is the *tree engine* of the sampling layer: it walks the
-live object graph one fragment at a time.  The batched engine in
-:mod:`repro.statespace.engine` mirrors these loops over flattened
-interned tables — draw for draw, metric for metric — so both produce
-byte-identical reports; any change to the control flow here must be
-reflected there (the cross-engine suite in ``tests/test_statespace.py``
-pins the equivalence).
+This module is the *tree engine* of the sampling layer: one walk
+grows one fragment at a time.  :func:`sample_event` runs it against
+any event schema; :func:`sample_time_until` reads the same walk under
+:class:`~repro.events.reach.EventuallyReach` at its first hit.  The
+batched engine in :mod:`repro.statespace.engine` has one walk of its
+own over flattened interned tables, mirroring this one draw for draw
+and metric for metric, so both produce byte-identical reports; a
+change to the control flow here must be made there too (the
+cross-engine suite in ``tests/test_statespace.py`` pins the
+equivalence).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.contracts import OFF_CONFIG, GuardConfig
 from repro.contracts.fuel import fuel_for
 from repro.contracts.guards import check_chosen_step
 from repro.errors import VerificationError
+from repro.events.reach import EventuallyReach
 from repro.events.schema import EventSchema, EventStatus
 
 State = TypeVar("State", bound=Hashable)
@@ -77,6 +81,28 @@ def sample_event(
     sample stream; in warn mode a fuel exhaustion truncates the sample
     exactly like hitting ``max_steps``.
     """
+    result = _walk(automaton, adversary, start, schema, rng, max_steps, guards)
+    if obs.enabled():
+        _record_event_sample(result)
+    return result
+
+
+def _walk(
+    automaton: ProbabilisticAutomaton[State],
+    adversary: Adversary[State],
+    start: ExecutionFragment[State],
+    schema: EventSchema[State],
+    rng: random.Random,
+    max_steps: int,
+    guards: Optional[GuardConfig],
+) -> SampleResult:
+    """The tree walk behind both samplers.
+
+    Per step: classify (the start in full, each extension with
+    ``classify_step``), horizon, adversary decision, guard checks, one
+    draw.  Records the ``adversary.*`` counters; the callers record
+    their own ``sampler.*`` metrics.
+    """
     if max_steps < 0:
         raise VerificationError("max_steps must be nonnegative")
     config = guards if guards is not None else OFF_CONFIG
@@ -84,39 +110,31 @@ def sample_event(
     fuel = fuel_for(config)
     adversary_name = getattr(adversary, "name", "")
     fragment = start
-    result: Optional[SampleResult] = None
-    for steps_taken in range(max_steps + 1):
-        status = schema.classify(fragment)
+    status = schema.classify(fragment)
+    steps_taken = 0
+    while True:
         if status is EventStatus.ACCEPT:
-            result = SampleResult(True, steps_taken, fragment)
-            break
+            return SampleResult(True, steps_taken, fragment)
         if status is EventStatus.REJECT:
-            result = SampleResult(False, steps_taken, fragment)
-            break
+            return SampleResult(False, steps_taken, fragment)
         if steps_taken == max_steps:
-            break
+            return SampleResult(None, steps_taken, fragment)
         chosen = adversary.choose(automaton, fragment)
         if obs.enabled():
             obs.incr("adversary.decisions")
             if chosen is None:
                 obs.incr("adversary.halts")
         if chosen is None:
-            result = SampleResult(
+            return SampleResult(
                 schema.decide_maximal(fragment), steps_taken, fragment
             )
-            break
         if checking:
             check_chosen_step(config, automaton, fragment, chosen, adversary_name)
             if fuel is not None and not fuel.spend(config, fragment, adversary_name):
-                result = SampleResult(None, steps_taken, fragment)
-                break
-        next_state = chosen.target.sample(rng)
-        fragment = fragment.extend(chosen.action, next_state)
-    if result is None:
-        result = SampleResult(None, max_steps, fragment)
-    if obs.enabled():
-        _record_event_sample(result)
-    return result
+                return SampleResult(None, steps_taken, fragment)
+        fragment = fragment.extend(chosen.action, chosen.target.sample(rng))
+        steps_taken += 1
+        status = schema.classify_step(fragment)
 
 
 def _record_event_sample(result: SampleResult) -> None:
@@ -149,42 +167,20 @@ def sample_time_until(
     budget (or before the adversary halted).  Elapsed time is measured
     from the start fragment's last state — the moment the adversary
     takes over, matching Definition 3.1's clock.  ``guards`` behaves as
-    in :func:`sample_event`.
+    in :func:`sample_event`, whose walk this reads under
+    :class:`EventuallyReach` at its first hit.
     """
-    if max_steps < 0:
-        raise VerificationError("max_steps must be nonnegative")
-    config = guards if guards is not None else OFF_CONFIG
-    checking = config.checking
-    fuel = fuel_for(config)
-    adversary_name = getattr(adversary, "name", "")
-    origin = time_of(start.lstate)
-    if any(target(state) for state in start.states):
-        if obs.enabled():
-            _record_time_sample(Fraction(0), 0)
-        return Fraction(0)
-    fragment = start
-    elapsed: Optional[Fraction] = None
-    steps_taken = 0
-    for _ in range(max_steps):
-        chosen = adversary.choose(automaton, fragment)
-        if obs.enabled():
-            obs.incr("adversary.decisions")
-            if chosen is None:
-                obs.incr("adversary.halts")
-        if chosen is None:
-            break
-        if checking:
-            check_chosen_step(config, automaton, fragment, chosen, adversary_name)
-            if fuel is not None and not fuel.spend(config, fragment, adversary_name):
-                break
-        next_state = chosen.target.sample(rng)
-        fragment = fragment.extend(chosen.action, next_state)
-        steps_taken += 1
-        if target(next_state):
-            elapsed = time_of(next_state) - origin
-            break
+    result = _walk(
+        automaton, adversary, start, EventuallyReach(target), rng,
+        max_steps, guards,
+    )
+    elapsed = (
+        time_of(result.final.lstate) - time_of(start.lstate)
+        if result.verdict
+        else None
+    )
     if obs.enabled():
-        _record_time_sample(elapsed, steps_taken)
+        _record_time_sample(elapsed, result.steps)
     return elapsed
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import obs
 from repro.adversary.base import Adversary
@@ -58,14 +58,8 @@ DEFAULT_CHUNK_SIZE = 32
 class ArrowPairContext:
     """Everything every pair task needs; inherited by workers via fork."""
 
-    automaton: ProbabilisticAutomaton
     adversaries: Tuple[Tuple[str, Adversary], ...]
-    start_states: Tuple[object, ...]
-    target: Callable[[object], bool]
-    time_bound: object
-    time_of: Callable[[object], Fraction]
     samples_per_pair: int
-    max_steps: int
     claimed: float
     confidence: float
     early_stop: bool
@@ -212,10 +206,7 @@ class TimeStartContext:
     automaton: ProbabilisticAutomaton
     adversary: Adversary
     start_states: Tuple[object, ...]
-    target: Callable[[object], bool]
-    time_of: Callable[[object], Fraction]
     samples_per_start: int
-    max_steps: int
     #: Evaluation engine, as in :class:`ArrowPairContext`.
     engine: Engine
     adversary_name: str = ""

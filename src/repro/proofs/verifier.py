@@ -317,14 +317,8 @@ def check_arrow_by_sampling(
         guards=guard_config,
     )
     context = ArrowPairContext(
-        automaton=automaton,
         adversaries=tuple(adversaries),
-        start_states=tuple(start_states),
-        target=statement.target.contains,
-        time_bound=statement.time_bound,
-        time_of=time_of,
         samples_per_pair=samples_per_pair,
-        max_steps=max_steps,
         claimed=float(statement.probability),
         confidence=confidence,
         early_stop=early_stop,
@@ -645,10 +639,7 @@ def measure_time_to_target(
         automaton=automaton,
         adversary=adversary,
         start_states=tuple(start_states),
-        target=target,
-        time_of=time_of,
         samples_per_start=samples_per_start,
-        max_steps=max_steps,
         adversary_name=adversary_name,
         schema=schema,
         guards=guard_config,

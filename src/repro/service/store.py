@@ -380,9 +380,11 @@ class JobStore:
         return matches[0]
 
     def all_settled(self) -> bool:
-        """True when every submitted job is completed/failed/cancelled."""
-        jobs = self.jobs()
-        return bool(jobs) and all(view.settled for view in jobs.values())
+        """True when every submitted job is completed/failed/cancelled.
+
+        An empty store is settled: it has no job left to wait for.
+        """
+        return all(view.settled for view in self.jobs().values())
 
     def counts(self) -> Dict[str, int]:
         """How many jobs are in each state."""

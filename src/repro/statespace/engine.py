@@ -91,9 +91,12 @@ class Engine(abc.ABC):
 
     An engine is constructed for a specific (automaton, adversaries,
     start states, target) tuple; the three operations below then index
-    into those sequences.  Engines ride the fork-inherited task
-    contexts of :mod:`repro.parallel.backend`, so pooled workers reuse
-    the parent's compiled tables and never recompile.
+    into those sequences.  Each engine has one sampling walk: ``sample``
+    reads its verdict, and ``time_to_target`` runs it under plain
+    reachability and reads the elapsed time at its first hit.  Engines
+    ride the fork-inherited task contexts of
+    :mod:`repro.parallel.backend`, so pooled workers reuse the parent's
+    compiled tables and never recompile.
     """
 
     #: Short strategy label ("tree" / "batched").
@@ -158,8 +161,7 @@ class TreeEngine(Engine):
         # Bound-free checks use plain reachability: ``EventuallyReach``
         # accepts as soon as the target occurs, never rejects on time,
         # and ``decide_maximal`` rejects halted executions — exactly the
-        # behaviour the batched samplers implement when their bound is
-        # ``None``.
+        # behaviour of the batched walk when its bound is ``None``.
         self._schema = (
             EventuallyReach(target)
             if time_bound is None
@@ -223,10 +225,11 @@ class BatchedEngine(Engine):
     fetched block-at-a-time per sampling stream (one
     :class:`UniformSource` per ``random.Random``, keyed weakly so
     abandoned streams free their buffers), and memoised deterministic
-    runs are fast-forwarded in O(1).  Every consumed uniform is exactly
-    the float :mod:`repro.execution.sampler` would have drawn at that
-    point, so verdicts, step counts, and metric totals are
-    byte-identical to :class:`TreeEngine`.
+    runs are fast-forwarded in O(1).  One walk, :meth:`_sample_flat`,
+    serves both ``sample`` and ``time_to_target``.  Every consumed
+    uniform is exactly the float :mod:`repro.execution.sampler` would
+    have drawn at that point, so verdicts, step counts, elapsed times
+    and metric totals are byte-identical to :class:`TreeEngine`.
 
     Sources buffer *ahead* of the underlying python generator, which is
     safe because each stream is private to one (adversary, start) pair
@@ -304,21 +307,46 @@ class BatchedEngine(Engine):
             return self.tree.sample(
                 adversary_index, start_index, rng, want_fragment=want_fragment
             )
-        return self._sample_flat(
+        verdict, steps, _ = self._sample_flat(
             flat,
             flat.start_nodes[start_index],
             rng,
             self._ibounds[adversary_index],
         )
+        result = SampleResult(verdict, steps, None)
+        if obs.enabled():
+            sampler._record_event_sample(result)
+        return result
 
-    def _sample_flat(self, flat: FlatTable, node: int, rng, bound):
-        """Mirror of :func:`~repro.execution.sampler.sample_event`.
+    def time_to_target(
+        self, adversary_index: int, start_index: int, rng
+    ) -> Optional[Fraction]:
+        flat = self.flat_tables[adversary_index]
+        if flat is None:
+            return self.tree.time_to_target(adversary_index, start_index, rng)
+        verdict, steps, elapsed = self._sample_flat(
+            flat, flat.start_nodes[start_index], rng, None
+        )
+        # The scaled integer converts to the identical Fraction the
+        # tree walk's Fraction sums produce (Fraction(e, d) normalises).
+        result = Fraction(elapsed, flat.denominator) if verdict else None
+        if obs.enabled():
+            sampler._record_time_sample(result, steps)
+        return result
 
-        Same decision order per step (bound-reject, target-accept,
-        horizon, halt, draw), same single uniform draw per step resolved
-        against identically accumulated partial sums, same metric
-        totals — only the data representation differs, and guard checks
-        already ran at compile time so they consume nothing here.
+    def _sample_flat(
+        self, flat: FlatTable, node: int, rng, bound: Optional[int]
+    ) -> Tuple[Optional[bool], int, int]:
+        """The flat walk: ``(verdict, steps, scaled elapsed)``.
+
+        Mirrors :mod:`repro.execution.sampler`'s tree walk: the same
+        decision order per step (bound-reject, target-accept, horizon,
+        halt, draw), the same single uniform draw per step resolved
+        against identically accumulated partial sums, and the same
+        ``adversary.*`` totals — only the data representation differs,
+        and guard checks already ran at compile time so they consume
+        nothing here.  With ``bound`` ``None`` this is the walk under
+        ``EventuallyReach`` that time-to-target reads at its first hit.
         Elapsed time is tracked as a scaled integer against the
         pre-scaled ``bound`` threshold (exact, see
         ``FlatTable.scale_bound``).  The chain fast-path advances
@@ -405,115 +433,12 @@ class BatchedEngine(Engine):
             node = targets[index]
             steps_taken += 1
         source.pos = pos
-        result = SampleResult(verdict, steps_taken, None)
         if obs_on:
             if decisions:
                 obs.incr("adversary.decisions", decisions)
             if halts:
                 obs.incr("adversary.halts", halts)
-            sampler._record_event_sample(result)
-        return result
-
-    def time_to_target(
-        self, adversary_index: int, start_index: int, rng
-    ) -> Optional[Fraction]:
-        flat = self.flat_tables[adversary_index]
-        if flat is None:
-            return self.tree.time_to_target(adversary_index, start_index, rng)
-        return self._time_flat(flat, flat.start_nodes[start_index], rng)
-
-    def _time_flat(self, flat: FlatTable, node: int, rng):
-        """Mirror of :func:`~repro.execution.sampler.sample_time_until`.
-
-        Elapsed time accumulates as a scaled integer and is converted
-        back to the identical ``Fraction`` on return (``Fraction(e, d)``
-        normalises exactly like the sampler's ``Fraction`` sum).
-        """
-        max_steps = self.tree.max_steps
-        offsets = flat.offsets
-        targets = flat.targets
-        cum = flat.cum
-        ideltas = flat.ideltas
-        node_flag = flat.node_flag
-        halt = flat.halt
-        skip_steps = flat.skip_steps
-        skip_to = flat.skip_to
-        skip_total = flat.skip_total
-        obs_on = obs.enabled()
-        if node_flag[node]:
-            if obs_on:
-                sampler._record_time_sample(_ZERO, 0)
-            return _ZERO
-        source = self._source_for(rng)
-        data = source.data
-        pos = source.pos
-        size = len(data)
-        elapsed = 0
-        reached: Optional[int] = None
-        steps_taken = 0
-        decisions = 0
-        halts = 0
-        while steps_taken < max_steps:
-            run = skip_steps[node]
-            if run:
-                remaining = max_steps - steps_taken
-                take = run if run <= remaining else remaining
-                decisions += take
-                steps_taken += take
-                new_pos = pos + take
-                if new_pos <= size:
-                    pos = new_pos
-                else:
-                    source.pos = size
-                    source.skip(new_pos - size)
-                    data = source.data
-                    pos = source.pos
-                    size = len(data)
-                if run > remaining:
-                    # Horizon hit mid-run; interior nodes never flag.
-                    break
-                elapsed += skip_total[node]
-                node = skip_to[node]
-                if node_flag[node]:
-                    reached = elapsed
-                    break
-                continue
-            decisions += 1
-            if halt[node]:
-                halts += 1
-                break
-            if pos == size:
-                data = source.refill()
-                pos = 0
-                size = len(data)
-            threshold = data[pos]
-            pos += 1
-            lo = offsets[node]
-            index = offsets[node + 1] - 1
-            while lo < index:
-                if threshold < cum[lo]:
-                    index = lo
-                    break
-                lo += 1
-            elapsed += ideltas[index]
-            node = targets[index]
-            steps_taken += 1
-            if node_flag[node]:
-                reached = elapsed
-                break
-        source.pos = pos
-        result = (
-            None
-            if reached is None
-            else Fraction(reached, flat.denominator)
-        )
-        if obs_on:
-            if decisions:
-                obs.incr("adversary.decisions", decisions)
-            if halts:
-                obs.incr("adversary.halts", halts)
-            sampler._record_time_sample(result, steps_taken)
-        return result
+        return verdict, steps_taken, elapsed
 
     def exact_reach(
         self, adversary_index: int, start_index: int, max_steps: int

@@ -221,8 +221,11 @@ class TestModelsFrontEnd:
     ("check --guards off --fuel 10", "require guard mode 'warn' or"),
     ("check --inject-faults hang=0.5", "requires a per-task timeout"),
     ("check --n 1", "needs at least two processes, got 1"),
-    ("check --samples 0", "samples_per_pair must be positive"),
+    ("check --samples 0", "--samples must be >= 1, got 0"),
+    ("expected-time --samples 0", "--samples must be >= 1, got 0"),
     ("check --workers 0", "workers must be >= 1, got 0"),
+    ("verify --workers 0", "workers must be >= 1, got 0"),
+    ("audit --horizon 0", "--horizon must be >= 1, got 0"),
     ("check --engine batched --fuel 10", "incompatible with --fuel"),
     ("sweep --sizes 3,x", "comma-separated integers, got '3,x'"),
     ("check --state-budget 0", "state budget must be >= 1, got 0"),
@@ -235,7 +238,8 @@ class TestModelsFrontEnd:
 ])
 def test_unusable_flag_values_exit_2(argv, message, capsys):
     assert main(argv.split()) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("repro: error: ") and err.count("\n") == 1
     assert message in err
 

@@ -18,7 +18,11 @@ from hypothesis import strategies as st
 from repro.automaton.execution import ExecutionFragment
 from repro.events.first import FirstOccurrence
 from repro.events.next_first import NextFirstOccurrence
-from repro.events.reach import ReachWithinSteps
+from repro.events.reach import (
+    EventuallyReach,
+    ReachWithinSteps,
+    ReachWithinTime,
+)
 from repro.events.schema import EventStatus
 from repro.probability.space import FiniteDistribution
 from repro.proofs.expected_time import RetryBranch, RetryRecursion
@@ -196,6 +200,34 @@ def test_reach_within_steps_accept_is_stable(fragment):
     if schema.classify(fragment) is EventStatus.ACCEPT:
         for extended in extensions(fragment, 2):
             assert schema.classify(extended) is EventStatus.ACCEPT
+
+
+def _hit(state):
+    return state % 5 == 0
+
+
+@st.composite
+def reach_schemas(draw):
+    """A reach schema with a drawn bound.  The clock reads each state
+    as its time, so times are not monotone and a late state can be a
+    target state too."""
+    bound = draw(st.integers(min_value=0, max_value=4))
+    return draw(st.sampled_from([
+        ReachWithinTime(_hit, bound, Fraction),
+        ReachWithinSteps(_hit, bound),
+        EventuallyReach(_hit),
+    ]))
+
+
+@given(fragments(), reach_schemas())
+@settings(max_examples=150)
+def test_classify_step_agrees_after_undecided_prefixes(fragment, schema):
+    prefix = ExecutionFragment.initial(fragment.fstate)
+    for action, state in zip(fragment.actions, fragment.states[1:]):
+        if schema.classify(prefix) is not EventStatus.UNDECIDED:
+            return
+        prefix = prefix.extend(action, state)
+        assert schema.classify_step(prefix) is schema.classify(prefix)
 
 
 # ----------------------------------------------------------------------

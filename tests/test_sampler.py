@@ -11,10 +11,18 @@ from repro.adversary.deterministic import (
     FirstEnabledAdversary,
     StoppingAdversary,
 )
+from repro.automaton.automaton import ExplicitAutomaton
 from repro.automaton.execution import ExecutionFragment
+from repro.automaton.signature import ActionSignature
+from repro.automaton.transition import Transition
 from repro.errors import VerificationError
 from repro.events.first import FirstOccurrence
-from repro.events.reach import EventuallyReach, ReachWithinSteps
+from repro.events.reach import (
+    EventuallyReach,
+    ReachWithinSteps,
+    ReachWithinTime,
+    step_counting_time,
+)
 from repro.execution.sampler import (
     sample_event,
     sample_time_until,
@@ -24,6 +32,15 @@ from repro.execution.sampler import (
 
 def initial(state):
     return ExecutionFragment.initial(state)
+
+
+def spin_loop():
+    """One state ``a`` whose only step loops back to it."""
+    return ExplicitAutomaton(
+        ["a"], ["a"],
+        ActionSignature(internal={"spin"}),
+        [Transition.deterministic("a", "spin", "a")],
+    )
 
 
 class TestSampleEvent:
@@ -45,18 +62,9 @@ class TestSampleEvent:
         assert result.verdict is False
 
     def test_truncation_reports_none(self):
-        from repro.automaton.automaton import ExplicitAutomaton
-        from repro.automaton.signature import ActionSignature
-        from repro.automaton.transition import Transition
-
-        loop = ExplicitAutomaton(
-            ["a"], ["a"],
-            ActionSignature(internal={"spin"}),
-            [Transition.deterministic("a", "spin", "a")],
-        )
         rng = random.Random(0)
         result = sample_event(
-            loop, FirstEnabledAdversary(), initial("a"),
+            spin_loop(), FirstEnabledAdversary(), initial("a"),
             EventuallyReach(lambda s: False), rng, max_steps=5,
         )
         assert result.verdict is None
@@ -111,6 +119,32 @@ class TestSampleEvent:
                 coin_walk, FirstEnabledAdversary(), initial("start"),
                 EventuallyReach(lambda s: False), random.Random(0), -1,
             )
+
+
+class TestLinearWalk:
+    """The walk classifies each new state with ``classify_step``, so one
+    sample evaluates a reach schema's target once per state it reaches
+    (re-classifying the whole fragment per step is quadratic)."""
+
+    @pytest.mark.parametrize("make_schema", [
+        lambda hit: ReachWithinTime(hit, 1, step_counting_time),
+        lambda hit: ReachWithinSteps(hit, 1000),
+        EventuallyReach,
+    ], ids=["within-time", "within-steps", "eventually"])
+    def test_target_evaluated_once_per_state(self, make_schema):
+        calls = []
+
+        def hit(state):
+            calls.append(state)
+            return False
+
+        result = sample_event(
+            spin_loop(), FirstEnabledAdversary(), initial("a"),
+            make_schema(hit), random.Random(0), max_steps=50,
+        )
+        assert result.truncated
+        assert len(result.final.states) == 51
+        assert len(calls) <= len(result.final.states)
 
 
 class TestSampleTimeUntil:

@@ -415,9 +415,14 @@ class TestWorkerLoop:
 
     def test_usage_error_is_recorded_but_not_cached(self, tmp_path):
         # --workers is outside the scope: a cached exit 2 would be
-        # served to the healthy job that shares it.
+        # served to the healthy job that shares it.  Submit rejects
+        # --workers 0, so the job is built directly, as a store written
+        # before that check could still hold it.
         store = JobStore(str(tmp_path / "svc"))
-        bad = store.submit(_spec(*QUICK, "--workers", "0"))
+        bad = store.submit(JobSpec(
+            argv=(*QUICK, "--workers", "0"), command=QUICK[0],
+            scope=_spec().scope,
+        ))
         store.submit(_spec())
         _, cache, summary = self._serve_inline(tmp_path)
         assert summary["executed"] == 2 and summary["cache_hits"] == 0
@@ -505,6 +510,8 @@ class TestServiceCLI:
         ("check --guards off --fuel 10", "require guard mode 'warn' or"),
         ("sweep --sizes 3,x", "comma-separated integers, got '3,x'"),
         ("check --state-budget 0", "state budget must be >= 1, got 0"),
+        ("check --samples 0", "--samples must be >= 1, got 0"),
+        ("check --workers 0", "workers must be >= 1, got 0"),
     ])
     def test_submit_rejects_what_serve_would_reject(
         self, spec, message, capsys, tmp_path
@@ -537,6 +544,22 @@ class TestServiceCLI:
             ["jobs", "list", "--store", str(tmp_path), "--json"], capsys
         )
         assert json.loads(out)[0]["state"] == "cancelled"
+
+    @needs_fork
+    def test_drained_serve_of_empty_store_exits(self, tmp_path):
+        # An empty store is settled, so --drain has nothing to wait for;
+        # the subprocess timeout keeps a regression from hanging the suite.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, ["src", env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--store", str(tmp_path / "svc"), "--drain", "--poll", "0.05"],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0
+        assert "jobs: none submitted" in proc.stdout
 
     def test_jobs_list_empty_store(self, capsys, tmp_path):
         code, out, _ = self.run_cli(
