@@ -17,8 +17,11 @@ dihedral orbits, which is exactly what the quotient-invariance spot
 check of ``CompiledSpace.flags`` probes.  As with the Lehmann-Rabin
 dihedral quotient, the full quotient is sound for quotient-level
 analyses over symmetry-invariant predicates, while per-adversary
-sampling keeps the exact untimed quotient of the model's
-``space_spec`` (docs/models.md spells out the contract).
+sampling keeps the exact untimed quotient of
+``ExperimentSetup.space_spec`` (docs/models.md spells out the
+contract).  The quotients
+themselves are the generic :class:`~repro.statespace.ring.RingQuotient`
+over Herman's letter function.
 """
 
 from __future__ import annotations
@@ -27,95 +30,32 @@ from typing import Tuple
 
 from repro.algorithms.herman.automaton import herman_time_of
 from repro.algorithms.herman.state import HermanState
-from repro.statespace.compile import SpaceSpec
+from repro.statespace.ring import RingQuotient, rotation_orbit, symmetry_orbit
+
+__all__ = [
+    "canonical_rotation", "canonical_symmetry", "ring_symmetry_spec",
+    "rotation_orbit", "rotation_space_spec", "symmetry_orbit",
+]
 
 _COMMIT_LETTERS = {None: 2, 0: 0, 1: 1}
 
 
 def _ring_word(state: HermanState) -> Tuple[Tuple[int, int], ...]:
-    """The ring as a comparable word, one letter per index.
-
-    Letter ``j`` packs ``(bits[j], commits[j])`` (with ``None`` mapped
-    above the bit values); rotating the state rotates the word, so the
-    least rotation of the word identifies the least rotation of the
-    state, and equal least words mean equal canonical states.
-    """
+    """The letter function of :mod:`repro.statespace.ring`: letter
+    ``j`` packs ``(bits[j], commits[j])``, with ``None`` mapped above
+    the bit values."""
     return tuple(
         (bit, _COMMIT_LETTERS[commit])
         for bit, commit in zip(state.bits, state.commits)
     )
 
 
-def _least_rotation(word) -> Tuple[int, Tuple]:
-    """``(k, word rotated by k)`` minimising the rotated word."""
-    n = len(word)
-    doubled = word + word
-    best_k = 0
-    best = word
-    for k in range(1, n):
-        candidate = doubled[k : k + n]
-        if candidate < best:
-            best = candidate
-            best_k = k
-    return best_k, best
-
-
-def canonical_rotation(state: HermanState) -> HermanState:
-    """The lexicographically least rotation of ``state`` (clock kept)."""
-    k, _ = _least_rotation(_ring_word(state))
-    return state.rotated(k)
-
-
-def rotation_orbit(state: HermanState) -> Tuple[HermanState, ...]:
-    """Every rotation of ``state`` (duplicates for symmetric states)."""
-    return tuple(state.rotated(k) for k in range(state.n))
-
-
-def canonical_symmetry(state: HermanState) -> HermanState:
-    """The least dihedral image of ``state``: rotations and mirrors."""
-    k, best = _least_rotation(_ring_word(state))
-    mirrored = state.reflected()
-    mk, mbest = _least_rotation(_ring_word(mirrored))
-    if mbest < best:
-        return mirrored.rotated(mk)
-    return state.rotated(k)
-
-
-def symmetry_orbit(state: HermanState) -> Tuple[HermanState, ...]:
-    """All ``2n`` dihedral images of ``state`` (duplicates possible)."""
-    mirrored = state.reflected()
-    return tuple(state.rotated(k) for k in range(state.n)) + tuple(
-        mirrored.rotated(k) for k in range(state.n)
-    )
-
-
-def rotation_space_spec() -> SpaceSpec:
-    """The untimed quotient composed with the rotation quotient.
-
-    Rotation is a strict automorphism of Herman's directed dynamics;
-    this quotient is exact for the automaton and for rotation-invariant
-    predicates (all shipped region predicates are).
-    """
-    return SpaceSpec(
-        key=lambda state: state.untimed(),
-        time_of=herman_time_of,
-        canonical=canonical_rotation,
-        orbit=rotation_orbit,
-    )
-
-
-def ring_symmetry_spec() -> SpaceSpec:
-    """The untimed quotient composed with the full dihedral quotient.
-
-    ~``2n``-fold reduction.  Reflection reverses the update rule's
-    orientation (see the module docstring), so this spec serves
-    quotient-level analyses over symmetry-invariant predicates only —
-    token counts, region flags, reachable-space measurement — never
-    per-adversary sampling.
-    """
-    return SpaceSpec(
-        key=lambda state: state.untimed(),
-        time_of=herman_time_of,
-        canonical=canonical_symmetry,
-        orbit=symmetry_orbit,
-    )
+_RING = RingQuotient(_ring_word, herman_time_of)
+canonical_rotation = _RING.canonical_rotation
+canonical_symmetry = _RING.canonical_symmetry
+#: Exact for the automaton and for rotation-invariant predicates:
+#: rotation is a strict automorphism of the directed dynamics.
+rotation_space_spec = _RING.rotation_spec
+#: Quotient-level analyses over symmetry-invariant predicates only;
+#: reflection reverses the update rule's orientation.
+ring_symmetry_spec = _RING.symmetry_spec

@@ -38,7 +38,7 @@ from repro.algorithms.lehmann_rabin.state import (
 from repro.errors import StateBudgetExceeded, VerificationError
 from repro.mdp.bounded import min_reach_over_starts
 from repro.proofs.statements import StateClass
-from repro.statespace.compile import CompiledSpace, SpaceSpec, compile_space
+from repro.statespace.compile import CompiledSpace, compile_space, untimed_spec
 
 _ALL_LOCALS = tuple(
     ProcessState(pc, side) for pc in PC for side in Side
@@ -120,7 +120,7 @@ def _exhaustive_space(
         return compile_space(
             automaton,
             members,
-            SpaceSpec(key=lambda s: s.untimed(), time_of=lr_time_of),
+            untimed_spec(lr_time_of),
         )
     except StateBudgetExceeded:
         return None

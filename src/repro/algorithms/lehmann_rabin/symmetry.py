@@ -18,21 +18,19 @@ Every region predicate of Section 6.2 (``in_trying``, ``in_critical``,
 ...) is an exists/forall over processes and is therefore constant on
 symmetry orbits.
 
-This module packages the symmetries as :class:`SpaceSpec` quotients for
-the compile-once state-space core: states are canonicalised to the
-lexicographically least group image before interning.  The rotation
-quotient shrinks the reachable space by a factor approaching ``n``; the
-full ring (dihedral) quotient approaches ``2n`` — enough to fit the
-n=5 ring (233,980 rotation classes, 116,990 dihedral classes) inside
-the default 200,000-state budget, making ``exact_reach`` and MDP value
-iteration feasible there.
+This module packages the symmetries as :class:`SpaceSpec` quotients
+through the generic :class:`~repro.statespace.ring.RingQuotient`; only
+the letter function is Lehmann-Rabin's.  The full ring (dihedral)
+quotient fits the n=5 ring (233,980 rotation classes, 116,990 dihedral
+classes) inside the default 200,000-state budget, making
+``exact_reach`` and MDP value iteration feasible there.
 
 Soundness caveat (documented in ``docs/statespace.md``): the quotient
 is exact for the *automaton* and for symmetry-invariant predicates, but
 a concrete adversary is only preserved when its policy is equivariant.
 The shipped policies (fifo, obstructionist, ...) break ties by process
 index and are not; per-adversary *sampling* therefore keeps the exact
-untimed quotient of ``LRExperimentSetup.space_spec`` while these specs
+untimed quotient of ``ExperimentSetup.space_spec`` while these specs
 serve quotient-level analyses — reachable-space measurement, region
 flags, and feasibility studies where the policy acting on canonical
 representatives is itself the object of study.
@@ -44,92 +42,28 @@ from typing import Tuple
 
 from repro.algorithms.lehmann_rabin.automaton import lr_time_of
 from repro.algorithms.lehmann_rabin.state import LRState
-from repro.statespace.compile import SpaceSpec
+from repro.statespace.ring import RingQuotient, rotation_orbit, symmetry_orbit
+
+__all__ = [
+    "canonical_rotation", "canonical_symmetry", "ring_symmetry_spec",
+    "rotation_orbit", "rotation_space_spec", "symmetry_orbit",
+]
 
 
 def _ring_word(state: LRState) -> Tuple[Tuple[str, str, bool], ...]:
-    """The ring as a comparable word, one letter per index.
-
-    Letter ``j`` packs ``(pc_j, u_j, Res_j)``; rotating the state by
-    ``k`` rotates the word by ``k``, so the least rotation of the word
-    identifies the least rotation of the state.  The word determines
-    ``(processes, resources)`` outright, hence equal least words mean
-    equal canonical states — the canonical map is well defined on
-    orbits regardless of which ``k`` attained the minimum.
-    """
+    """The letter function of :mod:`repro.statespace.ring`: letter
+    ``j`` packs ``(pc_j, u_j, Res_j)``, so the word determines
+    ``(processes, resources)`` outright."""
     return tuple(
         (p.pc.value, p.u.value, r)
         for p, r in zip(state.processes, state.resources)
     )
 
 
-def _least_rotation(word) -> Tuple[int, Tuple]:
-    """``(k, word rotated by k)`` minimising the rotated word."""
-    n = len(word)
-    doubled = word + word
-    best_k = 0
-    best = word
-    for k in range(1, n):
-        candidate = doubled[k : k + n]
-        if candidate < best:
-            best = candidate
-            best_k = k
-    return best_k, best
-
-
-def canonical_rotation(state: LRState) -> LRState:
-    """The lexicographically least rotation of ``state`` (clock kept)."""
-    k, _ = _least_rotation(_ring_word(state))
-    return state.rotated(k)
-
-
-def rotation_orbit(state: LRState) -> Tuple[LRState, ...]:
-    """Every rotation of ``state`` (duplicates for symmetric states)."""
-    return tuple(state.rotated(k) for k in range(state.n))
-
-
-def canonical_symmetry(state: LRState) -> LRState:
-    """The least dihedral image of ``state``: rotations and mirrors."""
-    k, best = _least_rotation(_ring_word(state))
-    mirrored = state.reflected()
-    mk, mbest = _least_rotation(_ring_word(mirrored))
-    if mbest < best:
-        return mirrored.rotated(mk)
-    return state.rotated(k)
-
-
-def symmetry_orbit(state: LRState) -> Tuple[LRState, ...]:
-    """All ``2n`` dihedral images of ``state`` (duplicates possible)."""
-    mirrored = state.reflected()
-    return tuple(state.rotated(k) for k in range(state.n)) + tuple(
-        mirrored.rotated(k) for k in range(state.n)
-    )
-
-
-def rotation_space_spec() -> SpaceSpec:
-    """The untimed quotient composed with the rotation quotient.
-
-    For quotient-level analyses only — see the module docstring for
-    the adversary-equivariance caveat.
-    """
-    return SpaceSpec(
-        key=lambda state: state.untimed(),
-        time_of=lr_time_of,
-        canonical=canonical_rotation,
-        orbit=rotation_orbit,
-    )
-
-
-def ring_symmetry_spec() -> SpaceSpec:
-    """The untimed quotient composed with the full dihedral quotient.
-
-    The strongest shipped quotient: ~``2n``-fold reduction, fitting the
-    n=5 ring inside the default state budget.  Same caveat as
-    :func:`rotation_space_spec`.
-    """
-    return SpaceSpec(
-        key=lambda state: state.untimed(),
-        time_of=lr_time_of,
-        canonical=canonical_symmetry,
-        orbit=symmetry_orbit,
-    )
+_RING = RingQuotient(_ring_word, lr_time_of)
+canonical_rotation = _RING.canonical_rotation
+canonical_symmetry = _RING.canonical_symmetry
+#: For quotient-level analyses only (the equivariance caveat above).
+rotation_space_spec = _RING.rotation_spec
+#: The strongest shipped quotient: ~``2n``-fold reduction, same caveat.
+ring_symmetry_spec = _RING.symmetry_spec

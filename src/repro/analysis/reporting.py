@@ -4,31 +4,14 @@ The paper reports its results as proved inequalities; the benchmarks
 regenerate them as tables of measured worst-case probabilities and
 times.  This module renders those tables without third-party
 dependencies so benchmark output is readable in any terminal or log.
+The table renderer itself, :func:`~repro.obs.sinks.format_table`, lives
+in the observability layer, which cannot import this package, and is
+re-exported here.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
-
-
-def format_table(
-    headers: Sequence[str], rows: Iterable[Sequence[object]]
-) -> str:
-    """Render rows as a fixed-width text table with a header rule."""
-    rendered_rows: List[List[str]] = [[str(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in rendered_rows:
-        if len(row) != len(headers):
-            raise ValueError(
-                f"row has {len(row)} cells, expected {len(headers)}"
-            )
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    def line(cells: Sequence[str]) -> str:
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
-    parts = [line(list(headers)), line(["-" * w for w in widths])]
-    parts.extend(line(row) for row in rendered_rows)
-    return "\n".join(parts)
+from repro.obs.sinks import format_table
 
 
 def format_fraction(value, digits: int = 4) -> str:

@@ -716,6 +716,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import profile as prof
     from repro.obs.sinks import read_jsonl
 
+    if args.top < 1:
+        raise VerificationError(f"--top must be >= 1, got {args.top}")
     if args.run and args.source:
         raise VerificationError("give a trace file or --run, not both")
     if args.run:
@@ -1437,7 +1439,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_jobs(args: argparse.Namespace) -> int:
     from repro import service
-    from repro.obs.sinks import _table
+    from repro.obs.sinks import format_table
 
     with service.JobStore(service.resolve_store_dir(args.store)) as store:
         if args.jobs_cmd == "list":
@@ -1447,7 +1449,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
             elif not views:
                 print("jobs: none submitted")
             else:
-                print(_table(
+                print(format_table(
                     ("job", "state", "command", "claims", "fails",
                      "exit", "cached"),
                     [

@@ -186,7 +186,7 @@ def herman_skimmed_case() -> "CheckCase":
         time_of=model.time_of,
         samples=4,
         max_steps=12,
-        space_spec=model.space_spec(3),
+        space_spec=model.build(3).space_spec(),
     )
 
 

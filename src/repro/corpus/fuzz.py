@@ -217,7 +217,7 @@ def _model_check_case(case: dict) -> CheckCase:
         samples=case["samples"],
         max_steps=case["max_steps"],
         seed=case["seed"],
-        space_spec=model.space_spec(n),
+        space_spec=model.build(n).space_spec(),
     )
 
 

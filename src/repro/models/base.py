@@ -36,12 +36,7 @@ from repro.adversary.base import Adversary, AdversarySchema
 from repro.errors import VerificationError
 from repro.proofs.ledger import ProofLedger, StatementId
 from repro.proofs.statements import ArrowStatement, StateClass
-from repro.statespace.compile import SpaceSpec
-
-
-def _default_untimed(state: Any) -> Hashable:
-    """Every shipped case study strips its clock via ``untimed()``."""
-    return state.untimed()
+from repro.statespace.compile import SpaceSpec, untimed_key, untimed_spec
 
 
 @dataclass(frozen=True)
@@ -122,15 +117,13 @@ class Model:
     sample_states_in: Callable[
         [StateClass, int, int, random.Random], List[Any]
     ]
-    #: The compile quotient (states up to the clock).
-    space_spec: Callable[[int], SpaceSpec]
     #: The reference start state for MDP value iteration.
     mdp_reference: Callable[[int], Any]
     #: The optional symmetry quotient; ``None`` when the model has no
     #: symmetry reduction.  See docs/models.md for the soundness caveat.
     symmetry_spec: Optional[Callable[[int], SpaceSpec]] = None
     #: Strip a state to its untimed interning/dedup key.
-    untimed: Callable[[Any], Hashable] = _default_untimed
+    untimed: Callable[[Any], Hashable] = untimed_key
     #: Default sweep sizes for ``repro sweep`` when ``--sizes`` is
     #: omitted.
     sweep_sizes: Tuple[int, ...] = (3, 4, 5)
@@ -159,8 +152,10 @@ class ExperimentSetup:
     model: Optional[Model] = field(default=None, repr=False)
 
     def space_spec(self) -> SpaceSpec:
-        """The compile quotient for this instance."""
-        return require_model(self).space_spec(self.n)
+        """The compile quotient for this instance: states up to the
+        clock, by the model's own ``untimed`` and ``time_of``."""
+        model = require_model(self)
+        return untimed_spec(model.time_of, model.untimed)
 
     def symmetry_spec(self) -> Optional[SpaceSpec]:
         """The symmetry quotient, or ``None`` when unsupported."""
@@ -196,7 +191,7 @@ def sample_states_by_walk(
     rng: random.Random,
     *,
     advance_time: bool = False,
-    untimed: Callable[[Any], Hashable] = _default_untimed,
+    untimed: Callable[[Any], Hashable] = untimed_key,
     max_steps: int = 10_000,
 ) -> List[Any]:
     """Harvest distinct region states from a random walk.

@@ -30,7 +30,6 @@ from repro.models.base import (
 )
 from repro.models.registry import register_model
 from repro.proofs.statements import StateClass
-from repro.statespace.compile import SpaceSpec
 
 
 def _validate_n(n: int) -> None:
@@ -131,10 +130,6 @@ BENOR_MODEL = register_model(
         target=benor.some_decided,
         canonical_states=_canonical_states,
         sample_states_in=_sample_states_in,
-        space_spec=lambda n: SpaceSpec(
-            key=lambda state: state.untimed(),
-            time_of=benor.benor_time_of,
-        ),
         mdp_reference=lambda n: benor.benor_initial_state(_split_inputs(n)),
         symmetry_spec=None,
         sweep_sizes=(2, 3),

@@ -26,7 +26,6 @@ from repro.errors import VerificationError
 from repro.models.base import ExperimentSetup, Model, sample_states_by_walk
 from repro.models.registry import register_model
 from repro.proofs.statements import ArrowStatement, StateClass
-from repro.statespace.compile import SpaceSpec
 
 
 def _validate_n(n: int) -> None:
@@ -116,10 +115,6 @@ ELECTION_MODEL = register_model(
         target=election.leader_elected,
         canonical_states=_canonical_states,
         sample_states_in=_sample_states_in,
-        space_spec=lambda n: SpaceSpec(
-            key=lambda state: state.untimed(),
-            time_of=election.election_time_of,
-        ),
         mdp_reference=lambda n: election.election_initial_state(n),
         symmetry_spec=None,
         sweep_sizes=(3, 4, 5),

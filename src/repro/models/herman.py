@@ -31,7 +31,6 @@ from repro.models.base import (
 )
 from repro.models.registry import register_model
 from repro.proofs.statements import StateClass
-from repro.statespace.compile import SpaceSpec
 
 
 def _validate_n(n: int) -> None:
@@ -131,10 +130,6 @@ HERMAN_MODEL = register_model(
         target=herman.in_reduced,
         canonical_states=_canonical_states,
         sample_states_in=_sample_states_in,
-        space_spec=lambda n: SpaceSpec(
-            key=lambda state: state.untimed(),
-            time_of=herman.herman_time_of,
-        ),
         mdp_reference=lambda n: herman.herman_initial_state(n),
         symmetry_spec=lambda n: herman.ring_symmetry_spec(),
         sweep_sizes=(3, 5),

@@ -18,7 +18,6 @@ from repro.algorithms import lehmann_rabin as lr
 from repro.errors import VerificationError
 from repro.models.base import ExperimentSetup, Model
 from repro.models.registry import register_model
-from repro.statespace.compile import SpaceSpec
 
 
 class LRExperimentSetup(ExperimentSetup):
@@ -28,27 +27,6 @@ class LRExperimentSetup(ExperimentSetup):
     :class:`~repro.models.base.ExperimentSetup`; ``build`` remains the
     canonical constructor and existing imports keep working.
     """
-
-    def space_spec(self) -> SpaceSpec:
-        """The compile quotient for this ring: intern states up to the
-        clock (``LRState.untimed``) and read time advances off
-        ``lr_time_of``.  Lehmann-Rabin dynamics are time-invariant, so
-        the quotient is exact and keeps the compiled space finite."""
-        return SpaceSpec(
-            key=lambda state: state.untimed(), time_of=lr.lr_time_of
-        )
-
-    def symmetry_spec(self) -> SpaceSpec:
-        """The untimed quotient *plus* the ring's dihedral quotient.
-
-        Shrinks the compiled space by a factor approaching ``2n``
-        (fitting n=5 inside the default state budget), but is only
-        sound for quotient-level analyses and symmetry-invariant
-        predicates: the shipped adversary policies break ties by
-        process index and are not equivariant, so per-adversary
-        sampling must keep :meth:`space_spec`.  See
-        ``repro.algorithms.lehmann_rabin.symmetry``."""
-        return lr.ring_symmetry_spec()
 
     @classmethod
     def build(
@@ -121,9 +99,6 @@ LR_MODEL = register_model(
         target=lr.in_critical,
         canonical_states=lr.canonical_states,
         sample_states_in=lr.sample_states_in,
-        space_spec=lambda n: SpaceSpec(
-            key=lambda state: state.untimed(), time_of=lr.lr_time_of
-        ),
         mdp_reference=lambda n: lr.canonical_states(n)["one_trying"],
         symmetry_spec=lambda n: lr.ring_symmetry_spec(),
         sweep_sizes=(3, 4, 5),

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro import durable_io
-from repro.obs.sinks import _table, jsonable
+from repro.obs.sinks import format_table, jsonable
 
 #: Environment variable overriding the default manifest store location.
 RUNS_DIR_ENV = "REPRO_RUNS_DIR"
@@ -274,7 +274,7 @@ def render_runs_table(manifests: Sequence[Manifest]) -> str:
         )
         for manifest in manifests
     ]
-    return _table(
+    return format_table(
         ("id", "scope", "command", "started", "wall", "exit"), rows
     )
 
@@ -345,7 +345,8 @@ def render_diff(diff: Dict[str, object]) -> str:
             )
             for row in rows
         ]
-        lines.append(_table(("metric", "old", "new", "delta"), table_rows))
+        headers = ("metric", "old", "new", "delta")
+        lines.append(format_table(headers, table_rows))
     else:
         lines.append("(no metric differences)")
     return "\n".join(lines)

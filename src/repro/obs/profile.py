@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.sinks import _table, span_records
+from repro.obs.sinks import format_table, span_records
 from repro.obs.trace import Tracer
 
 #: One profile row: {"stack": "a;b", "calls": int, "cum_s": float,
@@ -117,7 +117,7 @@ def render_profile(rows: Sequence[ProfileRow], top: int = 20) -> str:
         )
         for row in hottest
     ]
-    return _table(("stack", "calls", "self_s", "cum_s"), table_rows)
+    return format_table(("stack", "calls", "self_s", "cum_s"), table_rows)
 
 
 def render_folded(rows: Sequence[ProfileRow]) -> str:

@@ -9,9 +9,10 @@ Two consumers of a finished recording:
 * :func:`render_span_tree` / :func:`render_metric_tables` — fixed-width
   text for terminals, used by ``repro trace`` and ``repro stats``.
 
-This module deliberately renders its own tables instead of importing
-:mod:`repro.analysis.reporting`: the analysis package sits *above* the
-instrumented layers, so importing it here would close a cycle.
+The one fixed-width table renderer, :func:`format_table`, lives here
+and :mod:`repro.analysis.reporting` re-exports it: the analysis package
+sits *above* the instrumented layers, so the renderer cannot live there
+without closing an import cycle.
 """
 
 from __future__ import annotations
@@ -144,11 +145,17 @@ def read_jsonl(path: Union[str, Path]) -> List[Dict[str, object]]:
 # ----------------------------------------------------------------------
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """A minimal fixed-width table (no dependency on the analysis layer)."""
+def format_table(
+    headers: Sequence[str], rows: Iterable[Sequence[object]]
+) -> str:
+    """Render rows as a fixed-width text table with a header rule."""
     rendered = [[str(cell) for cell in row] for row in rows]
     widths = [len(header) for header in headers]
     for row in rendered:
+        if len(row) != len(headers):
+            raise ValueError(
+                f"row has {len(row)} cells, expected {len(headers)}"
+            )
         for index, cell in enumerate(row):
             widths[index] = max(widths[index], len(cell))
 
@@ -192,13 +199,13 @@ def render_metric_tables(metrics: Metrics) -> str:
     sections: List[str] = []
     counters = sorted(metrics.counters.items())
     if counters:
-        sections.append("counters\n" + _table(
+        sections.append("counters\n" + format_table(
             ("name", "value"),
             [(name, counter.value) for name, counter in counters],
         ))
     gauges = sorted(metrics.gauges.items())
     if gauges:
-        sections.append("gauges\n" + _table(
+        sections.append("gauges\n" + format_table(
             ("name", "value"),
             [(name, gauge.value) for name, gauge in gauges],
         ))
@@ -218,7 +225,7 @@ def render_metric_tables(metrics: Metrics) -> str:
                     ),
                 )
             )
-        sections.append("histograms\n" + _table(
+        sections.append("histograms\n" + format_table(
             ("name", "count", "mean", "p50", "p95", "max"), rows
         ))
     if not sections:

@@ -33,7 +33,6 @@ from repro.parallel.backend import (
     PairTask,
     TimeStartContext,
     TimeStartOutcome,
-    TimeStartTask,
     decode_pair_outcome,
     decode_time_outcome,
     encode_pair_outcome,
@@ -65,7 +64,6 @@ __all__ = [
     "RunPolicy",
     "TimeStartContext",
     "TimeStartOutcome",
-    "TimeStartTask",
     "available_cpus",
     "decode_pair_outcome",
     "decode_time_outcome",

@@ -23,7 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Callable,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro import obs
 from repro.adversary.base import Adversary
@@ -34,7 +43,6 @@ from repro.contracts.guards import (
     spot_check_closure,
 )
 from repro.errors import CheckpointError, ContractViolation
-from repro.automaton.automaton import ProbabilisticAutomaton
 from repro.automaton.execution import ExecutionFragment
 from repro.parallel.seeds import derive_rng, rng_from_seed
 from repro.probability.stats import (
@@ -58,15 +66,15 @@ DEFAULT_CHUNK_SIZE = 32
 class ArrowPairContext:
     """Everything every pair task needs; inherited by workers via fork."""
 
-    adversaries: Tuple[Tuple[str, Adversary], ...]
     samples_per_pair: int
     claimed: float
     confidence: float
     early_stop: bool
-    chunk_size: int
-    #: The evaluation engine (``repro.statespace.engine``).  Compiled
-    #: tables and their flat arrays ride here, fork-inherited, so
-    #: workers never recompile or reflatten.
+    #: The evaluation engine (``repro.statespace.engine``), which also
+    #: holds the automaton, the ``(name, adversary)`` pairs and the
+    #: start states the tasks index into.  Compiled tables and their
+    #: flat arrays ride here, fork-inherited, so workers never
+    #: recompile or reflatten.
     engine: Engine
     #: The schema the adversaries are declared to range over; used by the
     #: guard layer for membership and execution-closure spot checks.
@@ -78,7 +86,11 @@ class ArrowPairContext:
 
 @dataclass(frozen=True)
 class PairTask:
-    """One (adversary, start state) unit of sampling work."""
+    """One (adversary, start state) unit of sampling work.
+
+    Time-to-target tasks are pair tasks of the one measured adversary,
+    index 0.
+    """
 
     index: int
     adversary_index: int
@@ -124,48 +136,23 @@ def execute_pair(context: ArrowPairContext, task: PairTask) -> PairOutcome:
 
     Deterministic in (context, task) alone: the same derived seed
     yields the same outcome whether this runs inline, or in any worker
-    of any pool size.  Guard checks draw from a separately derived
-    ``"contracts"`` stream, never from the pair's sample stream, so
+    of any pool size.  Guard checks follow :func:`_guarded_draws`, so
     warn-mode results are byte-identical to guards-off on healthy
     models.  A strict-mode :class:`~repro.errors.ContractViolation` is
     caught here and returned as a quarantined outcome — one poisoned
     pair must degrade, not abort the whole run.
     """
-    adversary_name, adversary = context.adversaries[task.adversary_index]
-    engine = context.engine
-    rng = rng_from_seed(task.seed)
+    draws = _guarded_draws(context, task, context.engine.sample)
     chunk_size = (
-        context.chunk_size if context.early_stop else context.samples_per_pair
+        DEFAULT_CHUNK_SIZE if context.early_stop else context.samples_per_pair
     )
-    guards = context.guards
-    checking = guards.checking
-    closure_pending = checking and context.schema is not None
     successes = 0
     truncated = 0
     trials = 0
     try:
-        if checking:
-            check_schema_membership(
-                guards, context.schema, adversary, adversary_name
-            )
         while trials < context.samples_per_pair:
             for _ in range(min(chunk_size, context.samples_per_pair - trials)):
-                result = engine.sample(
-                    task.adversary_index,
-                    task.start_index,
-                    rng,
-                    want_fragment=closure_pending,
-                )
-                if closure_pending:
-                    closure_pending = False
-                    spot_check_closure(
-                        guards,
-                        context.schema,
-                        adversary,
-                        result.final,
-                        derive_rng(task.seed, "contracts"),
-                        adversary_name,
-                    )
+                result = next(draws)
                 trials += 1
                 if result.truncated:
                     truncated += 1
@@ -203,24 +190,12 @@ def execute_pair(context: ArrowPairContext, task: PairTask) -> PairOutcome:
 class TimeStartContext:
     """Shared context for per-start time-to-target tasks."""
 
-    automaton: ProbabilisticAutomaton
-    adversary: Adversary
-    start_states: Tuple[object, ...]
     samples_per_start: int
-    #: Evaluation engine, as in :class:`ArrowPairContext`.
+    #: Evaluation engine, as in :class:`ArrowPairContext`; its one
+    #: adversary is the measured one.
     engine: Engine
-    adversary_name: str = ""
     schema: object = None
     guards: GuardConfig = OFF_CONFIG
-
-
-@dataclass(frozen=True)
-class TimeStartTask:
-    """All the replicates of one start state."""
-
-    index: int
-    start_index: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -237,7 +212,7 @@ class TimeStartOutcome:
 
 
 def execute_time_start(
-    context: TimeStartContext, task: TimeStartTask
+    context: TimeStartContext, task: PairTask
 ) -> TimeStartOutcome:
     """Sample every replicate of one start state from its own stream.
 
@@ -245,35 +220,12 @@ def execute_time_start(
     randomness from the sample stream, and a strict violation
     quarantines this start instead of aborting the run.
     """
-    start = context.start_states[task.start_index]
-    engine = context.engine
-    rng = rng_from_seed(task.seed)
-    guards = context.guards
-    closure_pending = guards.checking and context.schema is not None
+    draws = _guarded_draws(context, task, context.engine.time_to_target)
     times: List[Fraction] = []
     unreached = 0
     try:
-        if guards.checking:
-            check_schema_membership(
-                guards, context.schema, context.adversary,
-                context.adversary_name,
-            )
         for _ in range(context.samples_per_start):
-            elapsed = engine.time_to_target(0, task.start_index, rng)
-            if closure_pending:
-                closure_pending = False
-                # sample_time_until does not return its final fragment;
-                # probe closure on a short prefix resampled from the
-                # dedicated contracts stream instead.
-                probe = _closure_probe_fragment(context, start, task.seed)
-                spot_check_closure(
-                    guards,
-                    context.schema,
-                    context.adversary,
-                    probe,
-                    derive_rng(task.seed, "contracts", "cut"),
-                    context.adversary_name,
-                )
+            elapsed = next(draws)
             if elapsed is None:
                 unreached += 1
             else:
@@ -290,23 +242,61 @@ def execute_time_start(
     )
 
 
-def _closure_probe_fragment(
-    context: TimeStartContext, start, seed: int, probe_steps: int = 8
-):
-    """A short execution sampled from the dedicated contracts stream.
+# ----------------------------------------------------------------------
+# The guard discipline both task kinds share
+# ----------------------------------------------------------------------
 
-    Used only to feed the execution-closure spot check; consuming the
-    separate ``"contracts"`` stream keeps the measured times identical
-    across guard modes.
+
+def _guarded_draws(context, task: PairTask, draw: Callable) -> Iterator:
+    """The task's samples, one ``draw`` per ``next``, under the guards.
+
+    Every draw reads the task's own seeded stream; the contract checks
+    read separately derived ``"contracts"`` streams, so guard modes
+    never perturb the draws.  Schema membership (Definition 2.6) is
+    checked before the first draw and execution closure (Definition
+    3.3) right after it, on :func:`_closure_probe_fragment`, before
+    that draw is handed out.
     """
-    rng = derive_rng(seed, "contracts", "walk")
-    fragment = ExecutionFragment.initial(start)
-    for _ in range(probe_steps):
-        chosen = context.adversary.choose(context.automaton, fragment)
-        if chosen is None:
-            break
-        fragment = fragment.extend(chosen.action, chosen.target.sample(rng))
-    return fragment
+    engine = context.engine
+    name, adversary = engine.adversaries[task.adversary_index]
+    rng = rng_from_seed(task.seed)
+    guards = context.guards
+    if guards.checking:
+        check_schema_membership(guards, context.schema, adversary, name)
+    result = draw(task.adversary_index, task.start_index, rng)
+    if guards.checking and context.schema is not None:
+        spot_check_closure(
+            guards,
+            context.schema,
+            adversary,
+            _closure_probe_fragment(engine, adversary, task),
+            derive_rng(task.seed, "contracts", "cut"),
+            name,
+        )
+    while True:
+        yield result
+        result = draw(task.adversary_index, task.start_index, rng)
+
+
+def _closure_probe_fragment(
+    engine: Engine, adversary: Adversary, task: PairTask
+) -> ExecutionFragment:
+    """One adversary step from the task's start state, drawn from the
+    dedicated contracts stream, for the execution-closure spot check.
+
+    The step is independent of the task's samples, so a pair that
+    decides at its start state is probed too, and no engine has to
+    materialise a fragment.  One step costs one adversary decision at
+    the start state, which the samples expand anyway; longer walks
+    reach states no sample expands, which costs short arrow checks up
+    to a quarter of their time.
+    """
+    fragment = ExecutionFragment.initial(engine.start_states[task.start_index])
+    chosen = adversary.choose(engine.automaton, fragment)
+    if chosen is None:
+        return fragment
+    rng = derive_rng(task.seed, "contracts", "walk")
+    return fragment.extend(chosen.action, chosen.target.sample(rng))
 
 
 # ----------------------------------------------------------------------
@@ -366,9 +356,7 @@ def encode_time_outcome(outcome: TimeStartOutcome) -> dict:
     return record
 
 
-def decode_time_outcome(
-    record: dict, task: TimeStartTask
-) -> TimeStartOutcome:
+def decode_time_outcome(record: dict, task: PairTask) -> TimeStartOutcome:
     """Rebuild a :class:`TimeStartOutcome` from its checkpoint record."""
     try:
         return TimeStartOutcome(

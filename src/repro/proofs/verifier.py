@@ -51,7 +51,6 @@ from repro.parallel.backend import (
     ArrowPairContext,
     PairTask,
     TimeStartContext,
-    TimeStartTask,
     decode_pair_outcome,
     decode_time_outcome,
     encode_pair_outcome,
@@ -226,7 +225,6 @@ def check_arrow_by_sampling(
     seed: Optional[int] = None,
     workers: int = 1,
     early_stop: bool = False,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     policy: Optional[RunPolicy] = None,
     schema: Optional[AdversarySchema] = None,
     guards: Optional[GuardConfig] = None,
@@ -245,10 +243,10 @@ def check_arrow_by_sampling(
     from ``rng``) and the pair's identity — so the report is
     bit-identical for any ``workers`` count, and adding pairs never
     perturbs existing ones.  With ``early_stop``, a pair stops sampling
-    (in ``chunk_size`` increments, ``samples_per_pair`` remaining the
-    cap) once its Clopper-Pearson bounds already classify it against
-    the claimed probability; ``BernoulliSummary.trials`` records the
-    samples actually drawn.
+    (in ``DEFAULT_CHUNK_SIZE`` increments, ``samples_per_pair``
+    remaining the cap) once its Clopper-Pearson bounds already classify
+    it against the claimed probability; ``BernoulliSummary.trials``
+    records the samples actually drawn.
 
     ``policy`` configures the fault-tolerant runtime (per-task
     timeouts, retries, checkpoint/resume, fault injection); since a
@@ -274,8 +272,6 @@ def check_arrow_by_sampling(
         raise VerificationError("no start states supplied")
     if samples_per_pair <= 0:
         raise VerificationError("samples_per_pair must be positive")
-    if chunk_size <= 0:
-        raise VerificationError("chunk_size must be positive")
 
     guard_config = guards if guards is not None else OFF_CONFIG
     guard_config.validate()
@@ -317,12 +313,10 @@ def check_arrow_by_sampling(
         guards=guard_config,
     )
     context = ArrowPairContext(
-        adversaries=tuple(adversaries),
         samples_per_pair=samples_per_pair,
         claimed=float(statement.probability),
         confidence=confidence,
         early_stop=early_stop,
-        chunk_size=chunk_size,
         schema=schema,
         guards=guard_config,
         engine=engine_obj,
@@ -334,7 +328,8 @@ def check_arrow_by_sampling(
     # so its checkpoints are segregated.
     scope = (
         f"arrow|{statement!r}|spp={samples_per_pair}|steps={max_steps}"
-        f"|conf={confidence}|early={int(early_stop)}|chunk={chunk_size}"
+        f"|conf={confidence}|early={int(early_stop)}"
+        f"|chunk={DEFAULT_CHUNK_SIZE}"
     )
     scope += guard_scope_suffix(guard_config)
     with obs.span(
@@ -611,8 +606,9 @@ def measure_time_to_target(
         [repr(start) for start in start_states]
     )
     tasks = [
-        TimeStartTask(
+        PairTask(
             index=index,
+            adversary_index=0,
             start_index=index,
             seed=derive_seed(
                 root_seed, adversary_name, repr(start), occurrence
@@ -636,11 +632,7 @@ def measure_time_to_target(
         guards=guard_config,
     )
     context = TimeStartContext(
-        automaton=automaton,
-        adversary=adversary,
-        start_states=tuple(start_states),
         samples_per_start=samples_per_start,
-        adversary_name=adversary_name,
         schema=schema,
         guards=guard_config,
         engine=engine_obj,

@@ -123,6 +123,17 @@ class Supervisor:
             raise VerificationError(
                 f"worker count must be >= 1, got {self.workers}"
             )
+        for flag, seconds in (
+            ("--poll", self.poll_seconds), ("--lease", self.lease_seconds)
+        ):
+            if not seconds > 0:
+                raise VerificationError(f"{flag} must be > 0, got {seconds}")
+        for flag, seconds in (
+            ("--backoff", self.backoff_seconds),
+            ("--healthy-seconds", self.healthy_seconds),
+        ):
+            if not seconds >= 0:
+                raise VerificationError(f"{flag} must be >= 0, got {seconds}")
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")

@@ -97,6 +97,22 @@ class SpaceSpec:
 IDENTITY_SPEC = SpaceSpec()
 
 
+def untimed_key(state) -> Hashable:
+    """A timed state up to its clock, via its ``untimed()`` method."""
+    return state.untimed()
+
+
+def untimed_spec(
+    time_of: Callable[[object], Fraction],
+    untimed: Callable[[object], Hashable] = untimed_key,
+) -> SpaceSpec:
+    """States up to the clock: intern on ``untimed`` and read each
+    outcome's time advance off ``time_of``.  Every shipped model
+    compiles under this quotient; :mod:`repro.statespace.ring` refines
+    it with the ring symmetries."""
+    return SpaceSpec(key=untimed, time_of=time_of)
+
+
 @dataclass(frozen=True)
 class CompiledStep:
     """One tabulated step: a transition lowered to index arrays.

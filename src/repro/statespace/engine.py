@@ -15,8 +15,7 @@ all three:
   drawing uniforms from ``rng.random()`` in blocks and fast-forwarding
   memoised deterministic runs.  It falls back to an embedded tree
   engine per adversary when that adversary could not be tabulated
-  (history-dependent policies) or when a caller needs the final
-  fragment (closure spot checks).
+  (history-dependent policies).
 
 Both engines consume the *identical* randomness per sample — one
 uniform draw per step, resolved against float partial sums accumulated
@@ -90,13 +89,14 @@ class Engine(abc.ABC):
     """One bound evaluation strategy for a fixed check.
 
     An engine is constructed for a specific (automaton, adversaries,
-    start states, target) tuple; the three operations below then index
-    into those sequences.  Each engine has one sampling walk: ``sample``
-    reads its verdict, and ``time_to_target`` runs it under plain
-    reachability and reads the elapsed time at its first hit.  Engines
-    ride the fork-inherited task contexts of
-    :mod:`repro.parallel.backend`, so pooled workers reuse the parent's
-    compiled tables and never recompile.
+    start states, target) tuple, which it exposes as ``automaton``,
+    ``adversaries`` (``(name, adversary)`` pairs) and ``start_states``;
+    the three operations below index into those sequences.  Each engine
+    has one sampling walk: ``sample`` reads its verdict, and
+    ``time_to_target`` runs it under plain reachability and reads the
+    elapsed time at its first hit.  Engines ride the fork-inherited task
+    contexts of :mod:`repro.parallel.backend`, so pooled workers reuse
+    the parent's compiled tables and never recompile.
     """
 
     #: Short strategy label ("tree" / "batched").
@@ -104,21 +104,12 @@ class Engine(abc.ABC):
 
     @abc.abstractmethod
     def sample(
-        self,
-        adversary_index: int,
-        start_index: int,
-        rng,
-        *,
-        want_fragment: bool = False,
+        self, adversary_index: int, start_index: int, rng
     ) -> SampleResult:
         """One Monte-Carlo sample of the pair's reach-within-time event.
 
-        ``want_fragment`` forces a result whose ``final`` fragment is
-        populated (the batched engine otherwise returns ``final=None``
-        since it never materialises fragments); callers needing the
-        fragment — the execution-closure spot check — set it for that
-        sample only, and both engines consume identical randomness
-        either way.
+        ``final`` is ``None`` when the engine never materialised the
+        execution fragment (the batched flat walk).
         """
 
     @abc.abstractmethod
@@ -171,12 +162,7 @@ class TreeEngine(Engine):
         )
 
     def sample(
-        self,
-        adversary_index: int,
-        start_index: int,
-        rng,
-        *,
-        want_fragment: bool = False,
+        self, adversary_index: int, start_index: int, rng
     ) -> SampleResult:
         _, adversary = self.adversaries[adversary_index]
         fragment = ExecutionFragment.initial(self.start_states[start_index])
@@ -232,12 +218,9 @@ class BatchedEngine(Engine):
     and metric totals are byte-identical to :class:`TreeEngine`.
 
     Sources buffer *ahead* of the underlying python generator, which is
-    safe because each stream is private to one (adversary, start) pair
-    or one time-measurement task: the harness never draws from the rng
-    directly once batched sampling has begun (the one direct use — the
-    ``want_fragment`` closure probe — is always a pair's first sample).
-    Adversaries that did not tabulate (``None`` in ``tables``) and
-    ``want_fragment`` samples go through the embedded ``tree`` engine.
+    safe because each stream is private to one task and every sample of
+    a pair takes the same path: adversaries that did not tabulate
+    (``None`` in ``tables``) go through the embedded ``tree`` engine.
     """
 
     name = "batched"
@@ -249,6 +232,9 @@ class BatchedEngine(Engine):
         flags: List[bool],
     ):
         self.tree = tree
+        self.automaton = tree.automaton
+        self.adversaries = tree.adversaries
+        self.start_states = tree.start_states
         self.tables = tables
         self.flags = flags
         self._bound = (
@@ -295,18 +281,11 @@ class BatchedEngine(Engine):
         return source
 
     def sample(
-        self,
-        adversary_index: int,
-        start_index: int,
-        rng,
-        *,
-        want_fragment: bool = False,
+        self, adversary_index: int, start_index: int, rng
     ) -> SampleResult:
         flat = self.flat_tables[adversary_index]
-        if flat is None or want_fragment:
-            return self.tree.sample(
-                adversary_index, start_index, rng, want_fragment=want_fragment
-            )
+        if flat is None:
+            return self.tree.sample(adversary_index, start_index, rng)
         verdict, steps, _ = self._sample_flat(
             flat,
             flat.start_nodes[start_index],

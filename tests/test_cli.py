@@ -235,13 +235,25 @@ class TestModelsFrontEnd:
     ("appendix --n 2", "lemma A.9 names three processes"),
     ("exact --states 0", "--states must be >= 1, got 0"),
     ("exact --states -2", "--states must be >= 1, got -2"),
+    ("serve --drain --poll -1", "--poll must be > 0, got -1.0"),
+    ("serve --drain --poll 0", "--poll must be > 0, got 0.0"),
+    ("serve --drain --lease -1", "--lease must be > 0, got -1.0"),
+    ("serve --drain --backoff -1", "--backoff must be >= 0, got -1.0"),
+    ("serve --drain --healthy-seconds -1",
+     "--healthy-seconds must be >= 0, got -1.0"),
+    ("profile trace.jsonl --top 0", "--top must be >= 1, got 0"),
+    ("profile trace.jsonl --top -2", "--top must be >= 1, got -2"),
 ])
-def test_unusable_flag_values_exit_2(argv, message, capsys):
+def test_unusable_flag_values_exit_2(argv, message, capsys, monkeypatch,
+                                     tmp_path):
+    store = tmp_path / "store"
+    monkeypatch.setenv("REPRO_SERVICE_DIR", str(store))
     assert main(argv.split()) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("repro: error: ") and err.count("\n") == 1
     assert message in err
+    assert not store.exists()
 
 
 # ----------------------------------------------------------------------

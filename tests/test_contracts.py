@@ -45,6 +45,7 @@ from repro.contracts import (
     spot_check_closure,
 )
 from repro.corpus.cases import (
+    A_CLASS,
     TINY_STATEMENT,
     broken_automaton,
     honest_schema,
@@ -65,10 +66,12 @@ from repro.errors import (
 from repro.parallel import fork_available
 from repro.parallel.seeds import derive_rng
 from repro.probability.space import FiniteDistribution
+from repro.proofs.statements import ArrowStatement
 from repro.proofs.verifier import (
     check_arrow_by_sampling,
     measure_time_to_target,
 )
+from repro.statespace.engine import TreeEngine
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="the pooled paths need the fork method"
@@ -645,6 +648,54 @@ class TestFuelAndQuarantine:
             for guards in (OFF, WARN, STRICT)
         ]
         assert reports[0] == reports[1] == reports[2]
+
+
+# ----------------------------------------------------------------------
+# One closure probe for arrow pairs and time-to-target starts
+# ----------------------------------------------------------------------
+
+
+class TestClosureProbe:
+    def test_start_in_target_is_still_probed_on_every_engine(self):
+        """Start ``a`` already lies in ``A``, so every sample decides at
+        once; both task kinds must still probe closure, with the same
+        report bytes on each engine."""
+        stay = ArrowStatement(A_CLASS, A_CLASS, 0, 1, "tiny")
+        arrows, times = set(), set()
+        for engine in ("tree", "batched"):
+            arrow = check_arrow_by_sampling(
+                tiny_automaton(), stay, [("first", FirstEnabledAdversary())],
+                ["a"], zero_time, samples_per_pair=4, max_steps=24, seed=11,
+                schema=liar_schema(), guards=STRICT, engine=engine,
+            )
+            time = measure_time_to_target(
+                tiny_automaton(), "first", FirstEnabledAdversary(), ["a"],
+                A_CLASS.contains, zero_time, samples=4, max_steps=24,
+                seed=11, schema=liar_schema(), guards=STRICT, engine=engine,
+            )
+            for report in (arrow, time):
+                assert [q.kind for q in report.quarantined] == ["closure"]
+                assert "tiny-liar" in report.quarantined[0].message
+            arrows.add(json.dumps(arrow.to_dict(), sort_keys=True))
+            times.add(json.dumps(time.to_dict(), sort_keys=True))
+        assert len(arrows) == len(times) == 1
+
+    def test_tabulated_batched_pairs_never_walk_the_tree(
+        self, monkeypatch, capsys
+    ):
+        calls = []
+        tree_sample = TreeEngine.sample
+
+        def counted(engine, *args, **kwargs):
+            calls.append(args)
+            return tree_sample(engine, *args, **kwargs)
+
+        monkeypatch.setattr(TreeEngine, "sample", counted)
+        argv = ["check", "--model", "herman", "--n", "3", "--engine",
+                "batched", "--samples", "4", "--guards", "warn"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls == []
 
 
 # ----------------------------------------------------------------------

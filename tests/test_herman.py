@@ -61,7 +61,7 @@ class TestGoldenCounts:
     ):
         setup = herman.build(n)
         roots = list(herman.canonical_states(n).values())
-        plain = compile_space(setup.automaton, roots, herman.space_spec(n))
+        plain = compile_space(setup.automaton, roots, setup.space_spec())
         assert (plain.n_states, plain.n_transitions) == (
             plain_states, plain_steps,
         )
@@ -71,7 +71,7 @@ class TestGoldenCounts:
     def test_symmetry_quotient_shrinks_the_space(self, herman):
         setup = herman.build(3)
         roots = list(herman.canonical_states(3).values())
-        plain = compile_space(setup.automaton, roots, herman.space_spec(3))
+        plain = compile_space(setup.automaton, roots, setup.space_spec())
         sym = compile_space(setup.automaton, roots, herman.symmetry_spec(3))
         assert sym.n_states < plain.n_states
 
