@@ -39,11 +39,15 @@ def fragment_digest(seed: int, fragment: ExecutionFragment, extra: str = "") -> 
     Uses blake2b over the fragment's repr, so the value is a pure
     deterministic function of the history — independent of Python hash
     randomisation and stable across processes, which keeps experiments
-    reproducible from their seeds.
+    reproducible from their seeds.  The repr's body comes from
+    :meth:`ExecutionFragment.rendered`, which the fragment keeps and
+    its extensions grow, so a walk renders each state once.
     """
     digest = hashlib.blake2b(digest_size=8)
     digest.update(str(seed).encode())
-    digest.update(repr(fragment).encode())
+    digest.update(b"ExecutionFragment(")
+    digest.update(fragment.rendered().encode())
+    digest.update(b")")
     digest.update(extra.encode())
     return int.from_bytes(digest.digest(), "big")
 

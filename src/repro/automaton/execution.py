@@ -34,10 +34,11 @@ class ExecutionFragment(Generic[State]):
     """A finite execution fragment ``s0 a1 s1 ... an sn``.
 
     Immutable and hashable; used directly as the *states* of execution
-    automata (Definition 2.3, condition 1).
+    automata (Definition 2.3, condition 1).  ``_body`` caches
+    :meth:`rendered` once a history-reading adversary has asked for it.
     """
 
-    __slots__ = ("_states", "_actions", "_hash")
+    __slots__ = ("_states", "_actions", "_hash", "_body")
 
     def __init__(self, states: Sequence[State], actions: Sequence[Action]):
         if not states:
@@ -50,6 +51,7 @@ class ExecutionFragment(Generic[State]):
         self._states: Tuple[State, ...] = tuple(states)
         self._actions: Tuple[Action, ...] = tuple(actions)
         self._hash: Optional[int] = None
+        self._body: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -63,7 +65,12 @@ class ExecutionFragment(Generic[State]):
     def extend(self, action: Action, state: State) -> "ExecutionFragment[State]":
         """The fragment ``self . a . s`` (one more step appended)."""
         obs.incr("fragment.extensions")
-        return ExecutionFragment(self._states + (state,), self._actions + (action,))
+        child = ExecutionFragment(
+            self._states + (state,), self._actions + (action,)
+        )
+        if self._body is not None:
+            child._body = f"{self._body} . {action!r} . {state!r}"
+        return child
 
     # ------------------------------------------------------------------
     # The paper's accessors
@@ -187,11 +194,26 @@ class ExecutionFragment(Generic[State]):
             self._hash = hash((self._states, self._actions))
         return self._hash
 
-    def __repr__(self) -> str:
-        if not self._actions:
-            return f"ExecutionFragment({self._states[0]!r})"
+    def rendered(self) -> str:
+        """``s0 . a1 . s1 ...``, the inside of ``repr(self)``, kept.
+
+        Rendered once; :meth:`extend` then appends only the new step,
+        so a walk whose adversary digests its history
+        (:func:`repro.adversary.search.fragment_digest`) renders each
+        state once, and a walk whose adversary never does renders
+        nothing.  ``repr`` reads the kept body but never keeps one.
+        """
+        if self._body is None:
+            self._body = self._render()
+        return self._body
+
+    def _render(self) -> str:
         parts = [repr(self._states[0])]
         for i, action in enumerate(self._actions):
             parts.append(repr(action))
             parts.append(repr(self._states[i + 1]))
-        return "ExecutionFragment(" + " . ".join(parts) + ")"
+        return " . ".join(parts)
+
+    def __repr__(self) -> str:
+        body = self._body if self._body is not None else self._render()
+        return f"ExecutionFragment({body})"

@@ -250,14 +250,16 @@ def _sampling_run(args: argparse.Namespace):
 
     Resolves the model (:func:`_resolve_model`), builds the
     fault-tolerance policy and the contract guards, and keeps the
-    policy's checkpoint open for the body.  ``run`` holds the keyword
+    policy's checkpoint and one compile scope open for the body: its
+    checks share a compiled space, released when the body ends
+    (:func:`repro.statespace.compile_scope`).  ``run`` holds the keyword
     arguments every sampling call forwards unchanged.  The model, size,
     proposition, sample, worker, policy, guard and state-budget flags
     are checked here, before the command prints anything; ``repro
     submit`` runs the same checks.
     """
     from repro.parallel.pool import resolve_workers
-    from repro.statespace import resolve_state_budget
+    from repro.statespace import compile_scope, resolve_state_budget
 
     model = _resolve_model(args)
     if args.samples < 1:
@@ -271,7 +273,10 @@ def _sampling_run(args: argparse.Namespace):
         "engine": args.engine,
         "state_budget": resolve_state_budget(args.state_budget),
     }
-    with nullcontext() if policy.checkpoint is None else policy.checkpoint:
+    checkpoint = policy.checkpoint
+    if checkpoint is None:
+        checkpoint = nullcontext()
+    with checkpoint, compile_scope():
         yield model, run
 
 

@@ -142,6 +142,8 @@ METRICS: Dict[str, Tuple[str, str]] = {
         "counter", "supervised workers restarted after unclean exits"),
     "statespace.compile_ms": (
         "histogram", "wall-clock milliseconds per state-space compile"),
+    "statespace.compile_reuses": (
+        "counter", "checks that reused their command's compiled space"),
     "statespace.compiled_adversaries": (
         "gauge", "adversaries tabulated into compiled decision tables"),
     "statespace.flat_nodes": (

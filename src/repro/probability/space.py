@@ -40,6 +40,8 @@ S = TypeVar("S", bound=Hashable)
 #: normalised to :class:`fractions.Fraction` on construction.
 ProbabilityLike = Union[int, float, Fraction, str]
 
+_ONE = Fraction(1)
+
 
 def as_fraction(value: ProbabilityLike) -> Fraction:
     """Convert a user-supplied probability value to an exact fraction.
@@ -102,8 +104,14 @@ class FiniteDistribution(Generic[T]):
 
         Non-probabilistic steps of an automaton are modelled as Dirac
         distributions; the paper's time-passage steps are an example.
+        Built directly, without the validating constructor: a single
+        point of weight one is a valid space by construction, and every
+        compile builds one per deterministic step.
         """
-        return cls({point: Fraction(1)})
+        dist = cls.__new__(cls)
+        dist._weights = {point: _ONE}
+        dist._hash = None
+        return dist
 
     @classmethod
     def uniform(cls, points: Iterable[T]) -> "FiniteDistribution[T]":

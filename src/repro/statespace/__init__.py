@@ -21,6 +21,7 @@ from repro.statespace.engine import (
     Engine,
     TreeEngine,
     build_engine,
+    compile_scope,
     resolve_engine_name,
     resolve_state_budget,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "Engine",
     "TreeEngine",
     "build_engine",
+    "compile_scope",
     "resolve_engine_name",
     "resolve_state_budget",
     "AdversaryTable",

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import abc
 import weakref
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.automaton.automaton import ProbabilisticAutomaton
@@ -55,6 +56,7 @@ from repro.statespace.arrays import FlatTable, UniformSource, flatten_table
 from repro.statespace.compile import (
     DEFAULT_STATE_BUDGET,
     IDENTITY_SPEC,
+    CompiledSpace,
     SpaceSpec,
     compile_space,
 )
@@ -209,13 +211,15 @@ class BatchedEngine(Engine):
     The fast path: the per-adversary tables are flattened into the CSR
     parallel arrays of :mod:`repro.statespace.arrays`, uniforms are
     fetched block-at-a-time per sampling stream (one
-    :class:`UniformSource` per ``random.Random``, keyed weakly so
-    abandoned streams free their buffers), and memoised deterministic
-    runs are fast-forwarded in O(1).  One walk, :meth:`_sample_flat`,
-    serves both ``sample`` and ``time_to_target``.  Every consumed
-    uniform is exactly the float :mod:`repro.execution.sampler` would
-    have drawn at that point, so verdicts, step counts, elapsed times
-    and metric totals are byte-identical to :class:`TreeEngine`.
+    :class:`UniformSource` per ``random.Random``, keyed weakly and
+    reading its stream through a weak proxy, so a finished stream frees
+    its buffer; only the latest stream is held strongly), and memoised
+    deterministic runs are fast-forwarded in O(1).  One walk,
+    :meth:`_sample_flat`, serves both ``sample`` and
+    ``time_to_target``.  Every consumed uniform is exactly the float
+    :mod:`repro.execution.sampler` would have drawn at that point, so
+    verdicts, step counts, elapsed times and metric totals are
+    byte-identical to :class:`TreeEngine`.
 
     Sources buffer *ahead* of the underlying python generator, which is
     safe because each stream is private to one task and every sample of
@@ -274,7 +278,9 @@ class BatchedEngine(Engine):
             return self._last_source
         source = self._sources.get(rng)
         if source is None:
-            source = UniformSource(rng)
+            # A strong reference from the value would keep the weak key
+            # alive for the engine's lifetime.
+            source = UniformSource(weakref.proxy(rng))
             self._sources[rng] = source
         self._last_rng = rng
         self._last_source = source
@@ -499,6 +505,73 @@ class BatchedEngine(Engine):
         return memo[(root, _ZERO, max_steps)]
 
 
+class _SpaceScope:
+    """The compiled space one command keeps for its next check."""
+
+    __slots__ = ("key", "space")
+
+    def __init__(self) -> None:
+        self.key: Optional[tuple] = None
+        self.space: Optional[CompiledSpace] = None
+
+
+#: The running command's scope; ``None`` outside :func:`compile_scope`.
+#: Process-global like the obs registry: the checks run several calls
+#: below the command, and a process runs one command at a time.
+_scope: Optional[_SpaceScope] = None
+
+
+@contextmanager
+def compile_scope() -> Iterator[None]:
+    """Let the checks of one command share a compiled space.
+
+    Inside the block, :func:`build_engine` reuses the space of the
+    previous check when the automaton is the same object, the spec,
+    guard config and budget are equal, and every start state is
+    already interned; that space holds everything a fresh compile from
+    these starts would intern, so no outcome changes.  The scope holds
+    at most one space and nothing outlives the block
+    (``docs/statespace.md``, "Compile once per command").
+    """
+    global _scope
+    outer = _scope
+    _scope = _SpaceScope()
+    try:
+        yield
+    finally:
+        _scope = outer
+
+
+def _space_for(
+    automaton: ProbabilisticAutomaton,
+    starts: Tuple[object, ...],
+    spec: SpaceSpec,
+    budget: int,
+    guards: Optional[GuardConfig],
+) -> CompiledSpace:
+    """The command's space when it covers ``starts``, else a compile."""
+    scope = _scope
+    key = (spec, guards, budget)
+    if scope is not None:
+        held = scope.space
+        if (
+            held is not None
+            and held.automaton is automaton
+            and scope.key == key
+            and all(held.contains(start) for start in starts)
+        ):
+            obs.incr("statespace.compile_reuses")
+            return held
+        # Drop it first, so a miss never holds two spaces at once.
+        scope.key = scope.space = None
+    space = compile_space(
+        automaton, starts, spec, max_states=budget, guards=guards
+    )
+    if scope is not None:
+        scope.key, scope.space = key, space
+    return space
+
+
 def build_engine(
     automaton: ProbabilisticAutomaton,
     adversaries: Sequence[Tuple[str, object]],
@@ -524,6 +597,9 @@ def build_engine(
       then walked as flattened arrays.
     * ``auto`` — prefer the batched engine when everything fits the
       budget and guards permit, else silently use the tree walk.
+
+    Inside :func:`compile_scope` the space comes from the previous
+    check when it covers this check's starts.
 
     A strict-mode :class:`ContractViolation` raised *during compile*
     (including a quotient-invariance violation from the target-flag
@@ -565,12 +641,12 @@ def build_engine(
             budget=budget,
             adversaries=len(tree.adversaries),
         ):
-            space = compile_space(
+            space = _space_for(
                 automaton,
                 tree.start_states,
                 spec if spec is not None else IDENTITY_SPEC,
-                max_states=budget,
-                guards=guards,
+                budget,
+                guards,
             )
             tables = tuple(
                 compile_adversary(

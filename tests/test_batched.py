@@ -238,6 +238,16 @@ class TestBatchedByteIdentity:
                 ])
             assert streams[0] == streams[1]
 
+    def test_finished_streams_are_released(self, setup3, statement):
+        # Each task samples from its own generator and drops it; the
+        # engine keeps a buffer for the latest stream only.
+        batched = build_for(setup3, statement, engine="batched")
+        assert batched.flat_tables[0] is not None
+        for seed in range(6):
+            batched.sample(0, 0, rng_from_seed(seed))
+            batched.time_to_target(0, 0, rng_from_seed(100 + seed))
+        assert len(batched._sources) <= 1
+
     def test_batched_without_bound(self, setup3, statement):
         # The unbounded-time regression, on the flat walker too.
         batched = build_for(

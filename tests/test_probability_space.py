@@ -62,6 +62,21 @@ class TestConstructors:
     def test_the_point_of_dirac(self):
         assert FiniteDistribution.dirac(42).the_point() == 42
 
+    @pytest.mark.parametrize("point", ["x", 42, ("a", 1), None])
+    def test_dirac_equals_the_validated_point_mass(self, point):
+        # dirac skips the validating constructor; it must build the
+        # same value that constructor builds.
+        fast = FiniteDistribution.dirac(point)
+        slow = FiniteDistribution({point: 1})
+        assert fast == slow and hash(fast) == hash(slow)
+        assert repr(fast) == repr(slow)
+        assert list(fast.items()) == list(slow.items())
+        assert type(fast) is FiniteDistribution and fast.is_dirac()
+        assert isinstance(fast[point], Fraction)
+
+    def test_no_subclass_needs_the_skipped_constructor(self):
+        assert FiniteDistribution.__subclasses__() == []
+
     def test_the_point_rejects_non_dirac(self):
         with pytest.raises(ProbabilityError):
             FiniteDistribution.uniform([1, 2]).the_point()

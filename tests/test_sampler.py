@@ -11,6 +11,9 @@ from repro.adversary.deterministic import (
     FirstEnabledAdversary,
     StoppingAdversary,
 )
+from repro.adversary.search import HashedRandomRoundPolicy
+from repro.adversary.unit_time import FifoRoundPolicy, RoundBasedAdversary
+from repro.algorithms import lehmann_rabin as lr
 from repro.automaton.automaton import ExplicitAutomaton
 from repro.automaton.execution import ExecutionFragment
 from repro.automaton.signature import ActionSignature
@@ -145,6 +148,36 @@ class TestLinearWalk:
         assert result.truncated
         assert len(result.final.states) == 51
         assert len(calls) <= len(result.final.states)
+
+    @pytest.mark.parametrize("policy", ["hashed", "fifo"])
+    def test_history_rendered_once_per_state(self, monkeypatch, policy):
+        # A history-hashing adversary digests the fragment at every
+        # decision; each state is rendered once, when it joins the
+        # fragment.  A Markov adversary never digests, so nothing is.
+        automaton = lr.lehmann_rabin_automaton(3)
+        start = initial(lr.canonical_states(3)["all_flip"])
+        chosen = (
+            HashedRandomRoundPolicy(3) if policy == "hashed"
+            else FifoRoundPolicy()
+        )
+        adversary = RoundBasedAdversary(lr.LRProcessView(3), chosen)
+        calls = []
+        render = lr.LRState.__repr__
+
+        def counting(state):
+            calls.append(state)
+            return render(state)
+
+        monkeypatch.setattr(lr.LRState, "__repr__", counting)
+        result = sample_event(
+            automaton, adversary, start, EventuallyReach(lambda s: False),
+            random.Random(0), max_steps=60,
+        )
+        assert result.truncated and result.steps == 60
+        if policy == "hashed":
+            assert 0 < len(calls) <= result.steps + 1
+        else:
+            assert calls == []
 
 
 class TestSampleTimeUntil:

@@ -11,11 +11,14 @@ state/transition counts for the n=3 ring.
 
 from __future__ import annotations
 
+import gc
 import json
 from fractions import Fraction
 
 import pytest
 
+from repro import obs
+from repro.adversary.deterministic import FirstEnabledAdversary
 from repro.algorithms import lehmann_rabin as lr
 from repro.analysis.montecarlo import LRExperimentSetup, check_lr_statement
 from repro.cli import main
@@ -24,13 +27,16 @@ from repro.errors import StateBudgetExceeded, VerificationError
 from repro.service import JobSpec
 from repro.statespace import (
     BatchedEngine,
+    CompiledSpace,
     SpaceSpec,
     TreeEngine,
     build_engine,
     compile_adversary,
+    compile_scope,
     compile_space,
     resolve_engine_name,
 )
+from repro.statespace import engine as engine_module
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -172,6 +178,122 @@ class TestEngineSelection:
             guards=OFF_CONFIG,
         )
         assert type(engine) is TreeEngine
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The roots of every compile ``build_engine`` runs."""
+    roots = []
+
+    def counting(automaton, starts, *args, **kwargs):
+        roots.append(tuple(starts))
+        return compile_space(automaton, starts, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "compile_space", counting)
+    return roots
+
+
+def _chain_engine(automaton, starts, **kwargs):
+    return build_engine(
+        automaton, [("first", FirstEnabledAdversary())], starts,
+        lambda state: state == 3, lambda state: Fraction(0), None, 10,
+        engine="batched", **kwargs,
+    )
+
+
+def _live_spaces():
+    gc.collect()
+    return sum(isinstance(o, CompiledSpace) for o in gc.get_objects())
+
+
+class TestCompileScope:
+    """One command's checks share one compiled space (the reuse rule in
+    ``docs/statespace.md``); nothing outlives the command."""
+
+    def test_checks_in_a_scope_share_the_space(
+        self, setup3, statement, compiles
+    ):
+        with obs.recording() as registry, compile_scope():
+            first = engine_for(setup3, statement, engine="batched")
+            second = engine_for(setup3, statement, engine="auto")
+        assert len(compiles) == 1
+        assert type(second) is BatchedEngine
+        assert first.tables[0].space is second.tables[0].space
+        assert first.tables[0] is not second.tables[0]
+        metrics = registry.metrics
+        assert metrics.counters["statespace.compile_reuses"].value == 1
+        assert metrics.histograms["statespace.compile_ms"].count == 1
+
+    def test_without_a_scope_every_check_compiles(
+        self, setup3, statement, compiles
+    ):
+        engine_for(setup3, statement, engine="batched")
+        engine_for(setup3, statement, engine="batched")
+        assert len(compiles) == 2
+
+    def test_a_different_key_compiles_again(
+        self, setup3, statement, compiles
+    ):
+        warn = GuardConfig(mode=WARN).validate()
+        with compile_scope():
+            engine_for(setup3, statement, engine="batched")
+            engine_for(setup3, statement, engine="batched", guards=warn)
+            engine_for(
+                setup3, statement, engine="batched", guards=warn,
+                state_budget=150_000,
+            )
+            engine_for(
+                setup3, statement, engine="batched", guards=warn,
+                state_budget=150_000,
+            )
+        assert len(compiles) == 3
+
+    def test_an_uncovered_start_compiles_from_its_own_roots(
+        self, deterministic_chain, compiles
+    ):
+        with compile_scope():
+            _chain_engine(deterministic_chain, (1,))
+            _chain_engine(deterministic_chain, (2,))  # inside {1, 2, 3}
+            _chain_engine(deterministic_chain, (0,))  # 0 was never interned
+            _chain_engine(deterministic_chain, (1,))  # inside {0, ..., 3}
+        assert compiles == [(1,), (0,)]
+
+    def test_a_failed_compile_is_retried_and_not_kept(
+        self, deterministic_chain, compiles
+    ):
+        with compile_scope():
+            _chain_engine(deterministic_chain, (0,))
+            with pytest.raises(StateBudgetExceeded):
+                _chain_engine(deterministic_chain, (0,), state_budget=2)
+            with pytest.raises(StateBudgetExceeded):
+                _chain_engine(deterministic_chain, (0,), state_budget=2)
+            # The miss dropped the first space before compiling.
+            _chain_engine(deterministic_chain, (0,))
+            _chain_engine(deterministic_chain, (0,))
+        assert compiles == [(0,)] * 4
+
+    def test_trace_counts_one_compile_and_five_reuses(self, capsys):
+        assert main([
+            "trace", "verify", "--model", "lr", "--n", "3",
+            "--engine", "batched", "--samples", "4",
+        ]) == 0
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("statespace.")
+        }
+        assert rows["statespace.compile_reuses"] == ["5"]
+        assert rows["statespace.compile_ms"][0] == "1"
+
+    def test_no_space_outlives_the_command(self, capsys):
+        before = _live_spaces()
+        assert main([
+            "verify", "--n", "3", "--samples", "2", "--engine", "batched",
+            "--no-manifest",
+        ]) == 0
+        capsys.readouterr()
+        assert engine_module._scope is None
+        assert _live_spaces() == before
 
 
 class TestReportEquivalence:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -255,3 +256,104 @@ class TestHashedRandomPolicy:
         start = lr.canonical_states(3)["all_flip"]
         fragment = run_steps(automaton, adversary, start, 60, seed=1)
         assert lr.lr_time_of(fragment.lstate) > 0
+
+
+# ----------------------------------------------------------------------
+# Reference digest: fragment_digest as it was before fragments kept
+# their rendered body (blake2b over the seed, a full re-render of the
+# fragment and the extra), kept frozen.  Every way of building a
+# fragment must digest to its bits.
+# ----------------------------------------------------------------------
+
+
+def _reference_repr(fragment):
+    states, actions = fragment.states, fragment.actions
+    if not actions:
+        return f"ExecutionFragment({states[0]!r})"
+    parts = [repr(states[0])]
+    for i, action in enumerate(actions):
+        parts.append(repr(action))
+        parts.append(repr(states[i + 1]))
+    return "ExecutionFragment(" + " . ".join(parts) + ")"
+
+
+def _reference_digest(seed, fragment, extra=""):
+    digest = hashlib.blake2b(digest_size=8)
+    digest.update(str(seed).encode())
+    digest.update(_reference_repr(fragment).encode())
+    digest.update(extra.encode())
+    return int.from_bytes(digest.digest(), "big")
+
+
+def _hashed_walk(ring3, count=12, seed=1):
+    """Every fragment of a hashed-policy walk, each digested by the
+    adversary before the walk extended it."""
+    automaton, view = ring3
+    adversary = RoundBasedAdversary(view, HashedRandomRoundPolicy(seed))
+    rng = random.Random(seed)
+    fragments = [initial(lr.canonical_states(3)["contended"])]
+    for _ in range(count):
+        step = adversary.checked_choose(automaton, fragments[-1])
+        fragments.append(
+            fragments[-1].extend(step.action, step.target.sample(rng))
+        )
+    return fragments
+
+
+def _replayed(walk, digest_at=()):
+    """The walk's last fragment rebuilt by ``extend`` from scratch,
+    digesting (so rendering) only at the step counts in ``digest_at``."""
+    final = walk[-1]
+    fragment = initial(final.fstate)
+    for steps, (_, action, state) in enumerate(final.steps(), start=1):
+        if steps - 1 in digest_at:
+            fragment_digest(0, fragment)
+        fragment = fragment.extend(action, state)
+    return fragment
+
+
+def _construction_paths(ring3):
+    walk = _hashed_walk(ring3)
+    final = walk[-1]
+    middle = final.prefix_of_length(5)
+    fragments = {
+        "initial": initial(final.fstate),
+        "extend-of-digested": final,
+        "extend-never-digested": _replayed(walk),
+        "extend-digested-midway": _replayed(walk, digest_at=(4,)),
+        "constructor": ExecutionFragment(final.states, final.actions),
+        "concat": middle.concat(final.suffix_after(middle)),
+        "prefix_of_length": final.prefix_of_length(7),
+        "suffix_after": final.suffix_after(middle),
+        "plain-values": initial("x").extend("a", 1).extend(("b",), "z"),
+    }
+    fragments.update(
+        (f"walk-step-{index}", fragment)
+        for index, fragment in enumerate(walk[:-1])
+    )
+    return fragments
+
+
+class TestFragmentDigest:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("extra", ["", "process", "step"])
+    def test_digest_matches_frozen_reference(self, ring3, seed, extra):
+        for name, fragment in _construction_paths(ring3).items():
+            assert fragment_digest(seed, fragment, extra) == (
+                _reference_digest(seed, fragment, extra)
+            ), name
+
+    def test_repr_unchanged_on_every_path(self, ring3):
+        for name, fragment in _construction_paths(ring3).items():
+            assert repr(fragment) == _reference_repr(fragment), name
+            fragment_digest(0, fragment)
+            assert repr(fragment) == _reference_repr(fragment), name
+
+    def test_repr_alone_renders_nothing_ahead(self):
+        # Only a digest keeps the body; repr (quarantine messages) does
+        # not, so a later extension still renders nothing.
+        fragment = initial("x")
+        repr(fragment)
+        assert fragment.extend("a", "y")._body is None
+        fragment_digest(0, fragment)
+        assert fragment.extend("a", "y")._body == "'x' . 'a' . 'y'"
