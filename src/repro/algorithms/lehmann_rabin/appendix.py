@@ -54,6 +54,7 @@ from repro.algorithms.lehmann_rabin.state import (
     Side,
     consistent_resources,
     make_state,
+    process_state,
 )
 from repro.automaton.signature import Action
 from repro.errors import VerificationError
@@ -61,7 +62,7 @@ from repro.mdp.bounded import min_reach_over_starts
 
 #: Every local state (pc, u) a process can occupy.
 ALL_LOCALS: Tuple[ProcessState, ...] = tuple(
-    ProcessState(pc, side) for pc in PC for side in Side
+    process_state(pc, side) for pc in PC for side in Side
 )
 
 
@@ -74,7 +75,7 @@ def locals_of(*pcs: PC) -> Tuple[ProcessState, ...]:
 
 def pointing(pc: PC, side: Side) -> Tuple[ProcessState, ...]:
     """The single local state ``pc`` with the given side."""
-    return (ProcessState(pc, side),)
+    return (process_state(pc, side),)
 
 
 #: ``{E_R, R, T}`` — the paper's "idle or trying" neighbour set.
@@ -133,7 +134,7 @@ def _flip_lands(i: int, side: Side) -> Callable[[LRState], bool]:
     """The first-occurrence constraint: ``flip_i`` yields ``side``."""
 
     def landed(state: LRState) -> bool:
-        return state.process(i) == ProcessState(PC.W, side)
+        return state.process(i) == process_state(PC.W, side)
 
     return landed
 

@@ -25,9 +25,9 @@ from repro.algorithms.lehmann_rabin.state import (
     TAKEN,
     LRState,
     PC,
-    ProcessState,
     Side,
     initial_state,
+    process_state,
 )
 from repro.automaton.automaton import FunctionalAutomaton
 from repro.automaton.signature import TIME_PASSAGE, Action, ActionSignature
@@ -77,8 +77,8 @@ def process_transitions(state: LRState, i: int) -> List[Transition[LRState]]:
         )
     elif pc is PC.F:
         # 1: flip a fair coin to choose which resource to pursue first.
-        after_left = state.with_process(i, ProcessState(PC.W, Side.LEFT))
-        after_right = state.with_process(i, ProcessState(PC.W, Side.RIGHT))
+        after_left = state.with_process(i, process_state(PC.W, Side.LEFT))
+        after_right = state.with_process(i, process_state(PC.W, Side.RIGHT))
         steps.append(
             Transition(
                 state,
@@ -135,7 +135,7 @@ def process_transitions(state: LRState, i: int) -> List[Transition[LRState]]:
         for new_u in (Side.RIGHT, Side.LEFT):
             freed = state.resource_index(i, new_u.opp)
             after = state.with_resource(freed, FREE).with_process(
-                i, ProcessState(PC.ES, new_u)
+                i, process_state(PC.ES, new_u)
             )
             steps.append(Transition.deterministic(state, (DROPF, i), after))
     elif pc is PC.ES:

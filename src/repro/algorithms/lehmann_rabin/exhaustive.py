@@ -30,10 +30,10 @@ from repro.algorithms.lehmann_rabin.regions import T_CLASS, in_critical
 from repro.algorithms.lehmann_rabin.state import (
     LRState,
     PC,
-    ProcessState,
     Side,
     consistent_resources,
     make_state,
+    process_state,
 )
 from repro.errors import StateBudgetExceeded, VerificationError
 from repro.mdp.bounded import min_reach_over_starts
@@ -41,7 +41,7 @@ from repro.proofs.statements import StateClass
 from repro.statespace.compile import CompiledSpace, compile_space, untimed_spec
 
 _ALL_LOCALS = tuple(
-    ProcessState(pc, side) for pc in PC for side in Side
+    process_state(pc, side) for pc in PC for side in Side
 )
 
 _STATE_CACHE: Dict[int, Tuple[LRState, ...]] = {}

@@ -30,10 +30,10 @@ from repro.algorithms.lehmann_rabin.regions import (
 from repro.algorithms.lehmann_rabin.state import (
     LRState,
     PC,
-    ProcessState,
     Side,
     consistent_resources,
     make_state,
+    process_state,
 )
 from repro.errors import VerificationError
 from repro.proofs.expected_time import (
@@ -184,7 +184,7 @@ def random_consistent_state(
     local states are unreachable (two adjacent holders).
     """
     locals_ = [
-        ProcessState(rng.choice(pcs), rng.choice((Side.LEFT, Side.RIGHT)))
+        process_state(rng.choice(pcs), rng.choice((Side.LEFT, Side.RIGHT)))
         for _ in range(n)
     ]
     if consistent_resources(locals_) is None:
@@ -233,37 +233,37 @@ def canonical_states(n: int) -> Dict[str, LRState]:
     These are the configurations the paper's case analysis revolves
     around; experiments use them alongside random samples.
     """
-    all_flip = make_state([ProcessState(PC.F, Side.LEFT)] * n)
+    all_flip = make_state([process_state(PC.F, Side.LEFT)] * n)
     one_trying = make_state(
-        [ProcessState(PC.F, Side.LEFT)]
-        + [ProcessState(PC.R, Side.LEFT)] * (n - 1)
+        [process_state(PC.F, Side.LEFT)]
+        + [process_state(PC.R, Side.LEFT)] * (n - 1)
     )
     # A good process: 0 committed left, its left neighbour (n-1)
     # harmless (R), so 0's second resource (on the left) is clear.
     good_pair = make_state(
-        [ProcessState(PC.W, Side.LEFT)]
-        + [ProcessState(PC.W, Side.RIGHT)]
-        + [ProcessState(PC.R, Side.LEFT)] * (n - 2)
+        [process_state(PC.W, Side.LEFT)]
+        + [process_state(PC.W, Side.RIGHT)]
+        + [process_state(PC.R, Side.LEFT)] * (n - 2)
     )
     # Everyone waiting, alternating sides where possible: heavy
     # contention, in RT.
     contended = make_state(
         [
-            ProcessState(PC.W, Side.LEFT if i % 2 == 0 else Side.RIGHT)
+            process_state(PC.W, Side.LEFT if i % 2 == 0 else Side.RIGHT)
             for i in range(n)
         ]
     )
     # A process about to enter: pre-critical.
     pre_critical = make_state(
-        [ProcessState(PC.P, Side.LEFT)]
-        + [ProcessState(PC.R, Side.LEFT)] * (n - 1)
+        [process_state(PC.P, Side.LEFT)]
+        + [process_state(PC.R, Side.LEFT)] * (n - 1)
     )
     # Trying but not reduced: a neighbour still holds both resources in
     # its exit region.
     with_exiter = make_state(
-        [ProcessState(PC.F, Side.LEFT)]
-        + [ProcessState(PC.EF, Side.LEFT)]
-        + [ProcessState(PC.R, Side.LEFT)] * (n - 2)
+        [process_state(PC.F, Side.LEFT)]
+        + [process_state(PC.EF, Side.LEFT)]
+        + [process_state(PC.R, Side.LEFT)] * (n - 2)
     )
     return {
         "all_flip": all_flip,

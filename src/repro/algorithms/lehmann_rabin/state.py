@@ -85,18 +85,38 @@ SIDED_PCS: FrozenSet[PC] = frozenset({PC.W, PC.S, PC.D, PC.ES})
 
 @dataclass(frozen=True)
 class ProcessState:
-    """The pair ``X_i = (pc_i, u_i)``."""
+    """The pair ``X_i = (pc_i, u_i)``.
+
+    The model builds its local states through :func:`process_state`,
+    which hands out one shared instance per ``(pc, u)``; every instance
+    hashes its pair once.  A separately built instance still compares
+    equal to, and hashes like, the shared one.
+    """
 
     pc: PC
     u: Side
 
+    def __post_init__(self) -> None:
+        # Enum members hash through Python code, and every ring-state
+        # key hashes all n local states, so hash the pair once.  Same
+        # value as the dataclass hash, hence the same set and dict order.
+        object.__setattr__(self, "_hash", hash((self.pc, self.u)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # The cached hash belongs to this process's hash seed: unpickle
+        # to the receiving process's shared instance instead.
+        return process_state, (self.pc, self.u)
+
     def with_pc(self, pc: PC) -> "ProcessState":
-        """Copy with a new program counter."""
-        return ProcessState(pc, self.u)
+        """The shared state with a new program counter."""
+        return _SHARED[pc._name_, self.u._name_]
 
     def with_u(self, u: Side) -> "ProcessState":
-        """Copy with a new side variable."""
-        return ProcessState(self.pc, u)
+        """The shared state with a new side variable."""
+        return _SHARED[self.pc._name_, u._name_]
 
     def points(self, side: Side) -> bool:
         """True when the side variable matters and equals ``side``.
@@ -112,6 +132,18 @@ class ProcessState:
             arrow = "<-" if self.u is Side.LEFT else "->"
             return f"{self.pc.value}{arrow}"
         return self.pc.value
+
+
+#: The shared ``ProcessState`` of each ``(pc, u)``, keyed by member
+#: names: a str caches its hash, an Enum member recomputes it in Python.
+_SHARED = {
+    (pc._name_, u._name_): ProcessState(pc, u) for pc in PC for u in Side
+}
+
+
+def process_state(pc: PC, u: Side) -> ProcessState:
+    """The shared local state ``(pc, u)``."""
+    return _SHARED[pc._name_, u._name_]
 
 
 #: Resource values: the paper's ``free``/``taken`` as a bool (taken=True).
@@ -146,6 +178,11 @@ class LRState:
             cached = hash((self.processes, self.resources, self.time))
             object.__setattr__(self, "_hash", cached)
         return cached
+
+    def __reduce__(self):
+        # Rebuild from the fields: a cached hash belongs to this
+        # process's hash seed and must not travel.
+        return type(self), (self.processes, self.resources, self.time)
 
     @property
     def n(self) -> int:
@@ -234,8 +271,7 @@ class LRState:
         """
         n = self.n
         processes = tuple(
-            ProcessState(self.processes[n - 1 - j].pc, self.processes[n - 1 - j].u.opp)
-            for j in range(n)
+            local.with_u(local.u.opp) for local in reversed(self.processes)
         )
         resources = tuple(self.resources[(n - 2 - j) % n] for j in range(n))
         return LRState(processes, resources, self.time)
@@ -257,7 +293,7 @@ def initial_state(n: int, sides: Optional[Sequence[Side]] = None) -> LRState:
     if len(sides) != n:
         raise AutomatonError(f"expected {n} sides, got {len(sides)}")
     return LRState(
-        processes=tuple(ProcessState(PC.R, side) for side in sides),
+        processes=tuple(process_state(PC.R, side) for side in sides),
         resources=tuple([FREE] * n),
         time=Fraction(0),
     )

@@ -38,6 +38,7 @@ from repro.contracts.guards import (
     check_schema_membership,
     check_transition_distribution,
     describe_violation,
+    forget_validated_transitions,
     report_violation,
     reset_warnings,
     spot_check_closure,
@@ -60,6 +61,7 @@ __all__ = [
     "check_schema_membership",
     "check_transition_distribution",
     "describe_violation",
+    "forget_validated_transitions",
     "report_violation",
     "reset_warnings",
     "spot_check_closure",

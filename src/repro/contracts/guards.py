@@ -44,10 +44,22 @@ _MAX_WARNED_SITES = 4096
 _validated_transitions: Dict[int, Transition] = {}
 _MAX_VALIDATED = 100_000
 
+_ZERO = Fraction(0)
+
 
 def reset_warnings() -> None:
     """Forget warned sites (used by tests and fresh CLI invocations)."""
     _warned_sites.clear()
+
+
+def forget_validated_transitions() -> None:
+    """Empty the validated-distribution cache, releasing its transitions.
+
+    Called when a command's compile scope closes
+    (:func:`repro.statespace.compile_scope`), so one command's
+    transitions never outlive it.
+    """
+    _validated_transitions.clear()
 
 
 def report_violation(config: GuardConfig, error: ContractViolation) -> None:
@@ -68,21 +80,24 @@ def report_violation(config: GuardConfig, error: ContractViolation) -> None:
 
 
 def check_transition_distribution(
-    config: GuardConfig, step: Transition
+    config: GuardConfig, step: Transition, *, cache: bool = True
 ) -> Optional[ContractViolation]:
     """Definition 2.1: the step's target must sum exactly to 1.
 
     Successful checks are cached per transition object, so repeatedly
     scheduled steps (the common case: :class:`FunctionalAutomaton`
     memoises its transitions) cost one dict lookup after the first
-    visit.  Returns the violation in warn mode so callers can inspect
-    it; raises in strict mode.
+    visit.  ``cache=False`` checks in full and leaves the cache alone,
+    for callers that check each transition exactly once (the state-space
+    compile), where remembering it would only keep it alive.  Returns
+    the violation in warn mode so callers can inspect it; raises in
+    strict mode.
     """
-    if id(step) in _validated_transitions:
+    if cache and id(step) in _validated_transitions:
         return None
     error: Optional[ContractViolation] = None
     try:
-        total = Fraction(0)
+        total = _ZERO
         points = 0
         for point, weight in step.target.items():
             points += 1
@@ -96,7 +111,8 @@ def check_transition_distribution(
                     site=f"distribution:{step.source!r}:{step.action!r}",
                 )
                 break
-            total += w
+            # The first weight starts the sum: a point mass adds nothing.
+            total = w if points == 1 else total + w
         if error is None and (points == 0 or total != 1):
             error = DistributionError(
                 f"target of {step.action!r} sums to {total} over {points} "
@@ -113,9 +129,10 @@ def check_transition_distribution(
             site=f"distribution:{step.source!r}:{step.action!r}",
         )
     if error is None:
-        if len(_validated_transitions) >= _MAX_VALIDATED:
-            _validated_transitions.clear()
-        _validated_transitions[id(step)] = step
+        if cache:
+            if len(_validated_transitions) >= _MAX_VALIDATED:
+                _validated_transitions.clear()
+            _validated_transitions[id(step)] = step
         return None
     report_violation(config, error)
     return error

@@ -548,14 +548,20 @@ def _sigterm_to_exception():
 
     Only installed when this is the main thread and no one else claimed
     the signal; returns the previous handler to restore (or ``None``
-    when nothing was installed).
+    when nothing was installed).  Forked workers inherit the handler,
+    but only the installing process unwinds: a worker exits at once
+    with the same status, so a reap never surfaces as a task error or
+    an ignored-exception traceback on stderr.
     """
     if threading.current_thread() is not threading.main_thread():
         return None
     if signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL:
         return None
+    installer = os.getpid()
 
     def raise_exit(signum, frame):
+        if os.getpid() != installer:
+            os._exit(128 + signum)
         raise SystemExit(128 + signum)
 
     signal.signal(signal.SIGTERM, raise_exit)

@@ -284,7 +284,7 @@ def compile_space(
         compiled: List[CompiledStep] = []
         for transition in automaton.transitions(rep):
             if checking:
-                check_transition_distribution(guards, transition)
+                check_transition_distribution(guards, transition, cache=False)
             targets: List[int] = []
             cum: List[float] = []
             weights: List[Fraction] = []

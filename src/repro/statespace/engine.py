@@ -32,6 +32,7 @@ compile fails.
 from __future__ import annotations
 
 import abc
+import gc
 import weakref
 from contextlib import contextmanager
 from fractions import Fraction
@@ -40,7 +41,11 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.automaton.automaton import ProbabilisticAutomaton
 from repro.automaton.execution import ExecutionFragment
-from repro.contracts import OFF_CONFIG, GuardConfig
+from repro.contracts import (
+    OFF_CONFIG,
+    GuardConfig,
+    forget_validated_transitions,
+)
 from repro.errors import (
     ContractViolation,
     StateBudgetExceeded,
@@ -508,11 +513,12 @@ class BatchedEngine(Engine):
 class _SpaceScope:
     """The compiled space one command keeps for its next check."""
 
-    __slots__ = ("key", "space")
+    __slots__ = ("key", "space", "froze")
 
     def __init__(self) -> None:
         self.key: Optional[tuple] = None
         self.space: Optional[CompiledSpace] = None
+        self.froze = False
 
 
 #: The running command's scope; ``None`` outside :func:`compile_scope`.
@@ -529,17 +535,23 @@ def compile_scope() -> Iterator[None]:
     previous check when the automaton is the same object, the spec,
     guard config and budget are equal, and every start state is
     already interned; that space holds everything a fresh compile from
-    these starts would intern, so no outcome changes.  The scope holds
-    at most one space and nothing outlives the block
+    these starts would intern, so no outcome changes.  Each compile
+    runs with the cyclic collector paused and, once it succeeds, is
+    frozen out of later collections.  The scope holds at most one
+    space, and nothing outlives the block: not the space, not the
+    freeze, not the guard layer's validated-transition cache
     (``docs/statespace.md``, "Compile once per command").
     """
     global _scope
     outer = _scope
-    _scope = _SpaceScope()
+    scope = _scope = _SpaceScope()
     try:
         yield
     finally:
         _scope = outer
+        if scope.froze:
+            gc.unfreeze()
+        forget_validated_transitions()
 
 
 def _space_for(
@@ -551,24 +563,36 @@ def _space_for(
 ) -> CompiledSpace:
     """The command's space when it covers ``starts``, else a compile."""
     scope = _scope
+    if scope is None:
+        return compile_space(
+            automaton, starts, spec, max_states=budget, guards=guards
+        )
     key = (spec, guards, budget)
-    if scope is not None:
-        held = scope.space
-        if (
-            held is not None
-            and held.automaton is automaton
-            and scope.key == key
-            and all(held.contains(start) for start in starts)
-        ):
-            obs.incr("statespace.compile_reuses")
-            return held
-        # Drop it first, so a miss never holds two spaces at once.
-        scope.key = scope.space = None
-    space = compile_space(
-        automaton, starts, spec, max_states=budget, guards=guards
-    )
-    if scope is not None:
-        scope.key, scope.space = key, space
+    held = scope.space
+    if (
+        held is not None
+        and held.automaton is automaton
+        and scope.key == key
+        and all(held.contains(start) for start in starts)
+    ):
+        obs.incr("statespace.compile_reuses")
+        return held
+    # Drop it first, so a miss never holds two spaces at once.
+    scope.key = scope.space = None
+    # The compile builds a large acyclic heap that reference counting
+    # alone frees; full collections would only re-scan it.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        space = compile_space(
+            automaton, starts, spec, max_states=budget, guards=guards
+        )
+        gc.freeze()
+    finally:
+        if collecting:
+            gc.enable()
+    scope.froze = True
+    scope.key, scope.space = key, space
     return space
 
 

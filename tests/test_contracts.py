@@ -20,6 +20,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,7 @@ from repro.corpus.cases import (
     honest_schema,
     liar_schema,
     rogue_adversary,
+    smuggled_distribution,
     tiny_automaton,
     zero_time,
 )
@@ -71,6 +73,7 @@ from repro.proofs.verifier import (
     check_arrow_by_sampling,
     measure_time_to_target,
 )
+from repro.statespace import compile_scope, compile_space
 from repro.statespace.engine import TreeEngine
 
 needs_fork = pytest.mark.skipif(
@@ -355,6 +358,32 @@ class TestGuardChecks:
         assert check_transition_distribution(STRICT, step) is None
         assert id(step) in contracts.guards._validated_transitions
         assert check_transition_distribution(STRICT, step) is None
+
+    def test_the_compile_checks_without_caching(self):
+        contracts.forget_validated_transitions()
+        automaton = tiny_automaton()
+        compile_space(automaton, ["a"], guards=STRICT)
+        assert contracts.guards._validated_transitions == {}
+        with pytest.raises(DistributionError):
+            compile_space(broken_automaton(), ["a"], guards=STRICT)
+
+    def test_the_cache_lasts_one_compile_scope(self):
+        automaton = tiny_automaton()
+        step = automaton.transitions("a")[0]
+        with compile_scope():
+            check_chosen_step(STRICT, automaton, self.fragment(), step)
+            assert id(step) in contracts.guards._validated_transitions
+        assert contracts.guards._validated_transitions == {}
+
+    def test_lean_sum_matches_the_full_one(self):
+        """A point mass is checked without a running ``Fraction`` sum;
+        the messages keep their text."""
+        point = Transition("a", "go", FiniteDistribution.dirac("b"))
+        assert check_transition_distribution(STRICT, point, cache=False) is None
+        for weights, total in (({}, "0"), ({"b": Fraction(1, 2)}, "1/2")):
+            empty = Transition("a", "go", smuggled_distribution(weights))
+            with pytest.raises(DistributionError, match=f"sums to {total} "):
+                check_transition_distribution(STRICT, empty, cache=False)
 
     def test_failures_are_not_cached(self):
         step = broken_automaton().transitions("a")[0]
@@ -743,6 +772,45 @@ class TestLintAssertBan:
         findings = lint.banned_handlers(path)
         assert [line for line, m in findings if "numpy" in m] == [1]
         assert lint.run_ban_check([tmp_path]) == 1
+
+    @pytest.mark.parametrize("source, line", [
+        ("import gc\ngc.disable()\n", 2),
+        ("import gc\ngc.enable()\n", 2),
+        ("import gc\ngc.freeze()\n", 2),
+        ("import gc\ngc.unfreeze()\n", 2),
+        ("import gc\ngc.set_threshold(0)\n", 2),
+        ("from gc import freeze\nfreeze()\n", 1),
+    ], ids=["disable", "enable", "freeze", "unfreeze", "set_threshold",
+            "from-import"])
+    def test_gc_switches_flagged_under_src(self, lint, tmp_path, source, line):
+        path = tmp_path / "src" / "mod.py"
+        path.parent.mkdir()
+        path.write_text(source)
+        findings = lint.banned_handlers(path)
+        assert [at for at, m in findings if "gc.disable" in m] == [line]
+        assert lint.run_ban_check([tmp_path]) == 1
+
+    def test_gc_switches_allowed_in_the_engine_and_tests(
+        self, lint, tmp_path
+    ):
+        source = "import gc\ngc.disable()\ngc.freeze()\ngc.unfreeze()\n"
+        engine = tmp_path / "src" / "repro" / "statespace" / "engine.py"
+        engine.parent.mkdir(parents=True)
+        engine.write_text(source)
+        assert lint.banned_handlers(engine) == []
+        test = tmp_path / "tests" / "test_mod.py"
+        test.parent.mkdir()
+        test.write_text(source)
+        assert lint.run_ban_check([tmp_path]) == 0
+
+    def test_gc_reads_are_not_flagged(self, lint, tmp_path):
+        path = tmp_path / "src" / "mod.py"
+        path.parent.mkdir()
+        path.write_text(
+            "import gc\ngc.collect()\ngc.isenabled()\n"
+            "gc.get_freeze_count()\n"
+        )
+        assert lint.banned_handlers(path) == []
 
     def test_numpy_allowed_in_tests(self, lint, tmp_path):
         path = tmp_path / "tests" / "test_mod.py"

@@ -508,6 +508,31 @@ class TestInterruption:
             for line in path.read_text(encoding="utf-8").splitlines():
                 json.loads(line)
 
+    def test_sigterm_handler_unwinds_only_its_installer(self):
+        original = signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        try:
+            assert pool_module._sigterm_to_exception() is signal.SIG_DFL
+            handler = signal.getsignal(signal.SIGTERM)
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - the forked child
+                try:
+                    os.dup2(write_fd, 2)
+                    handler(signal.SIGTERM, None)
+                finally:
+                    os._exit(99)
+            os.close(write_fd)
+            with os.fdopen(read_fd, "rb") as stderr:
+                err = stderr.read()
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 128 + signal.SIGTERM
+            assert err == b""
+            with pytest.raises(SystemExit) as raised:
+                handler(signal.SIGTERM, None)
+            assert raised.value.code == 128 + signal.SIGTERM
+        finally:
+            signal.signal(signal.SIGTERM, original)
+
     def test_sigterm_tears_down_workers_and_checkpoint(self, tmp_path):
         script = tmp_path / "victim.py"
         pid_dir = tmp_path / "pids"

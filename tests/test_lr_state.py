@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,7 @@ from repro.algorithms.lehmann_rabin.state import (
     holds_right,
     initial_state,
     make_state,
+    process_state,
 )
 from repro.errors import AutomatonError
 
@@ -48,6 +53,60 @@ class TestProcessState:
         assert repr(ProcessState(PC.W, Side.LEFT)) == "W<-"
         assert repr(ProcessState(PC.S, Side.RIGHT)) == "S->"
         assert repr(ProcessState(PC.F, Side.LEFT)) == "F"
+
+    @pytest.mark.parametrize("pc", list(PC), ids=lambda pc: pc.name)
+    def test_separately_built_states_match_the_shared_one(self, pc):
+        for u in Side:
+            built, shared = ProcessState(pc, u), process_state(pc, u)
+            assert built is not shared
+            assert built == shared
+            # The dataclass hash, so set and dict orders are unchanged.
+            assert hash(built) == hash(shared) == hash((pc, u))
+            assert repr(built) == repr(shared)
+            assert built.with_u(u) is shared
+            assert built.with_pc(pc) is shared
+
+    def test_the_model_builds_shared_states(self):
+        state = initial_state(3)
+        assert state.process(0) is process_state(PC.R, Side.LEFT)
+        mirrored = state.with_process(
+            1, process_state(PC.W, Side.RIGHT)
+        ).reflected()
+        assert mirrored.process(1) is process_state(PC.W, Side.LEFT)
+
+
+#: Builds a state, then either hashes and pickles it (``dump``) or
+#: checks a pickled one against a fresh build (``load``).
+_PICKLE_ROUND_TRIP = """
+import pickle, sys
+from repro.algorithms.lehmann_rabin.state import (
+    PC, Side, initial_state, process_state,
+)
+waiting = process_state(PC.W, Side.RIGHT)
+state = initial_state(3).with_process(1, waiting)
+if sys.argv[1] == "dump":
+    hash(state)
+    sys.stdout.write(pickle.dumps(state).hex())
+else:
+    loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+    print(loaded == state, loaded in {state: 1},
+          loaded.process(1) is waiting)
+"""
+
+
+def test_cached_hashes_do_not_cross_a_pickle():
+    """A hash cached under one hash seed must not reach a process
+    running under another."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run(seed, mode, stdin=""):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", _PICKLE_ROUND_TRIP, mode], input=stdin,
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+
+    assert run(2, "load", run(1, "dump")).split() == ["True"] * 3
 
 
 class TestGeometry:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,9 @@ from repro.adversary.deterministic import FirstEnabledAdversary
 from repro.algorithms import lehmann_rabin as lr
 from repro.analysis.montecarlo import LRExperimentSetup, check_lr_statement
 from repro.cli import main
-from repro.contracts import OFF_CONFIG, WARN, GuardConfig
+from repro.contracts import OFF_CONFIG, STRICT, WARN, GuardConfig
+from repro.contracts import guards as guards_module
+from repro.corpus.cases import broken_automaton
 from repro.errors import StateBudgetExceeded, VerificationError
 from repro.service import JobSpec
 from repro.statespace import (
@@ -193,11 +196,11 @@ def compiles(monkeypatch):
     return roots
 
 
-def _chain_engine(automaton, starts, **kwargs):
+def _chain_engine(automaton, starts, engine="batched", **kwargs):
     return build_engine(
         automaton, [("first", FirstEnabledAdversary())], starts,
         lambda state: state == 3, lambda state: Fraction(0), None, 10,
-        engine="batched", **kwargs,
+        engine=engine, **kwargs,
     )
 
 
@@ -293,7 +296,109 @@ class TestCompileScope:
         ]) == 0
         capsys.readouterr()
         assert engine_module._scope is None
+        # gc.get_objects() skips frozen objects: a frozen space would
+        # pass the count below unseen.
+        assert gc.get_freeze_count() == 0
         assert _live_spaces() == before
+
+    def test_the_guard_cache_closes_with_the_command(self, capsys):
+        assert main([
+            "check", "--n", "3", "--samples", "2", "--engine", "batched",
+            "--no-manifest",
+        ]) == 0
+        capsys.readouterr()
+        assert guards_module._validated_transitions == {}
+
+
+class TestCompileCollector:
+    """A scoped compile runs outside the cyclic collector and stays
+    frozen out of it until the scope closes; nothing else changes."""
+
+    def test_a_scoped_compile_runs_no_collection(
+        self, setup3, statement, monkeypatch
+    ):
+        compiling, collecting, collections = [False], [], []
+
+        def paused(automaton, starts, *args, **kwargs):
+            compiling[0] = True
+            collecting.append(gc.isenabled())
+            try:
+                return compile_space(automaton, starts, *args, **kwargs)
+            finally:
+                compiling[0] = False
+
+        def watch(phase, info):
+            if phase == "start" and compiling[0]:
+                collections.append(info["generation"])
+
+        monkeypatch.setattr(engine_module, "compile_space", paused)
+        gc.callbacks.append(watch)
+        try:
+            with compile_scope():
+                engine = engine_for(setup3, statement, engine="batched")
+                assert type(engine) is BatchedEngine
+                assert gc.get_freeze_count() > 0
+        finally:
+            gc.callbacks.remove(watch)
+        assert collecting == [False]
+        assert collections == []
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled()
+
+    def test_a_compile_outside_a_scope_is_unchanged(
+        self, setup3, statement
+    ):
+        engine_for(setup3, statement, engine="batched")
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("collecting", (True, False))
+    def test_a_blown_budget_freezes_nothing(
+        self, deterministic_chain, collecting
+    ):
+        keys = []
+
+        class Key:
+            """An interning key the test can watch die."""
+
+            def __init__(self, state):
+                self.state = state
+                keys.append(weakref.ref(self))
+
+            def __eq__(self, other):
+                return self.state == other.state
+
+            def __hash__(self):
+                return hash(self.state)
+
+        if not collecting:
+            gc.disable()
+        try:
+            with compile_scope():
+                engine = _chain_engine(
+                    deterministic_chain, (0,), spec=SpaceSpec(key=Key),
+                    state_budget=2, engine="auto",
+                )
+                assert type(engine) is TreeEngine
+                assert gc.get_freeze_count() == 0
+                assert gc.isenabled() is collecting
+                # Reference counting freed the partial space already.
+                assert keys and all(ref() is None for ref in keys)
+        finally:
+            gc.enable()
+
+    def test_a_strict_violation_freezes_nothing(self):
+        strict = GuardConfig(mode=STRICT).validate()
+        with compile_scope():
+            engine = build_engine(
+                broken_automaton(), [("first", FirstEnabledAdversary())],
+                ("a",), lambda state: state == "c",
+                lambda state: Fraction(0), None, 10,
+                engine="batched", guards=strict,
+            )
+            assert type(engine) is TreeEngine
+            assert gc.get_freeze_count() == 0
+            assert gc.isenabled()
 
 
 class TestReportEquivalence:

@@ -42,6 +42,14 @@ discipline instead of scattered file handles.
 Similarly, ``import numpy`` is forbidden anywhere under ``src/``: the
 library runs on the standard library alone.
 
+The cyclic collector's process-wide switches (``gc.disable``,
+``gc.enable``, ``gc.freeze``, ``gc.unfreeze`` and ``gc.set_threshold``,
+called or imported from ``gc``) are forbidden under ``src/`` outside
+``repro/statespace/engine.py``: the compile scope pauses the collector
+around a command's space compile and freezes what it built until the
+command ends (``docs/statespace.md``), so collector state has one owner
+that restores it instead of scattered toggles that leak past a command.
+
 Likewise, importing a registered case study's algorithm package
 (``repro.algorithms.lehmann_rabin``, ``benor``, ``election`` or
 ``herman``) under ``src/`` is forbidden outside ``src/repro/models/``
@@ -234,6 +242,29 @@ def _imports_numpy(node):
     return False
 
 
+#: The ``gc`` functions that change process-wide collector state.
+_GC_SWITCHES = ("disable", "enable", "freeze", "unfreeze", "set_threshold")
+
+
+def _is_engine_module(path):
+    return Path(path).parts[-3:] == ("repro", "statespace", "engine.py")
+
+
+def _switches_gc(node):
+    """True for ``gc.<switch>(...)`` calls and ``from gc import <switch>``."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr in _GC_SWITCHES
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "gc"
+        )
+    if isinstance(node, ast.ImportFrom) and node.module == "gc":
+        return any(alias.name in _GC_SWITCHES for alias in node.names)
+    return False
+
+
 #: The algorithm packages behind the registered models.
 _CASE_STUDIES = ("lehmann_rabin", "benor", "election", "herman")
 
@@ -324,6 +355,16 @@ def banned_handlers(path):
                      "append_json_line) — one fsynced, "
                      "torn-tail-repairing append discipline backs "
                      "crash recovery")
+                )
+    if not _is_engine_module(path):
+        for node in ast.walk(tree):
+            if _switches_gc(node):
+                findings.append(
+                    (node.lineno,
+                     "collector switches (gc.disable/enable/freeze/"
+                     "unfreeze/set_threshold) belong to "
+                     "repro.statespace.engine's compile scope, which "
+                     "restores them when the command ends")
                 )
     for node in ast.walk(tree):
         if _imports_numpy(node):
