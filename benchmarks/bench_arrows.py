@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import lehmann_rabin as lr
-from repro.analysis.montecarlo import check_lr_statement
+from repro.analysis.montecarlo import check_statement
 from repro.analysis.reporting import format_table
 
 SAMPLES = 100
@@ -24,7 +24,7 @@ SAMPLES = 100
 
 def run_leaf(setup, name):
     statement = lr.leaf_statements()[name]
-    report = check_lr_statement(
+    report = check_statement(
         statement, setup, samples_per_pair=SAMPLES, random_starts=4,
         max_steps=400,
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from repro.algorithms import lehmann_rabin as lr
-from repro.analysis.montecarlo import check_lr_statement
+from repro.analysis.montecarlo import check_statement
 
 
 def derive():
@@ -37,7 +37,7 @@ def test_composed_statement_monte_carlo(benchmark, setup3):
     chain = lr.lehmann_rabin_proof()
 
     def run():
-        return check_lr_statement(
+        return check_statement(
             chain.final_statement, setup3, samples_per_pair=100,
             random_starts=4, max_steps=600,
         )
@@ -53,7 +53,7 @@ def test_composed_statement_ring4(benchmark, setup4):
     chain = lr.lehmann_rabin_proof()
 
     def run():
-        return check_lr_statement(
+        return check_statement(
             chain.final_statement, setup4, samples_per_pair=60,
             random_starts=3, max_steps=800,
         )

@@ -24,7 +24,7 @@ import time
 import pytest
 
 from repro.algorithms import lehmann_rabin as lr
-from repro.analysis.montecarlo import check_lr_statement
+from repro.analysis.montecarlo import check_statement
 from repro.contracts import GuardConfig, fuel_for
 from repro.contracts import config as config_module
 from repro.execution import sampler as sampler_module
@@ -37,7 +37,7 @@ WARN = GuardConfig(mode="warn")
 
 def run_check(setup, guards):
     statement = lr.leaf_statements()["A.14"]
-    return check_lr_statement(
+    return check_statement(
         statement, setup, samples_per_pair=SAMPLES, random_starts=2,
         max_steps=200, guards=guards,
     )

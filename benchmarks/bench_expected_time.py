@@ -12,7 +12,7 @@ Reproduces:
 from __future__ import annotations
 
 from repro.algorithms import lehmann_rabin as lr
-from repro.analysis.montecarlo import measure_lr_expected_time
+from repro.analysis.montecarlo import measure_expected_time
 from repro.analysis.reporting import format_table
 from repro.proofs.expected_time import geometric_bound
 
@@ -34,7 +34,7 @@ def test_geometric_bound_is_coarser(benchmark):
 
 def test_measured_expected_time(benchmark, setup3):
     def run():
-        return measure_lr_expected_time(setup3, samples=120, max_steps=20_000)
+        return measure_expected_time(setup3, samples=120, max_steps=20_000)
 
     reports = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = []
@@ -139,7 +139,7 @@ def test_phase_decomposition(benchmark, setup3):
 
 def test_measured_expected_time_ring4(benchmark, setup4):
     def run():
-        return measure_lr_expected_time(setup4, samples=80, max_steps=20_000)
+        return measure_expected_time(setup4, samples=80, max_steps=20_000)
 
     reports = benchmark.pedantic(run, rounds=1, iterations=1)
     for name, report in reports.items():

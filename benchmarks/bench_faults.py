@@ -23,7 +23,7 @@ import time
 import pytest
 
 from repro.algorithms import lehmann_rabin as lr
-from repro.analysis.montecarlo import check_lr_statement
+from repro.analysis.montecarlo import check_statement
 from repro.parallel import FaultPlan, RunPolicy, fork_available
 
 SAMPLES = 40
@@ -37,7 +37,7 @@ needs_fork = pytest.mark.skipif(
 
 def run_check(setup3, workers=1, policy=None):
     statement = lr.leaf_statements()["A.14"]
-    return check_lr_statement(
+    return check_statement(
         statement, setup3, seed=0, samples_per_pair=SAMPLES,
         random_starts=RANDOM_STARTS, workers=workers, policy=policy,
     )

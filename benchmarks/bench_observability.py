@@ -29,14 +29,14 @@ import pytest
 from repro import obs
 from repro.obs import progress
 from repro.algorithms import lehmann_rabin as lr
-from repro.analysis.montecarlo import check_lr_statement
+from repro.analysis.montecarlo import check_statement
 
 SAMPLES = 40
 
 
 def run_check(setup):
     statement = lr.leaf_statements()["A.14"]
-    return check_lr_statement(
+    return check_statement(
         statement, setup, samples_per_pair=SAMPLES, random_starts=2,
         max_steps=200,
     )

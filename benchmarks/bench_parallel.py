@@ -23,7 +23,7 @@ import time
 import pytest
 
 from repro.algorithms import lehmann_rabin as lr
-from repro.analysis.montecarlo import check_lr_statement
+from repro.analysis.montecarlo import check_statement
 from repro.parallel import available_cpus, fork_available
 
 SAMPLES = 60
@@ -40,7 +40,7 @@ needs_cpus = pytest.mark.skipif(
 
 def run_check(setup3, workers):
     statement = lr.lehmann_rabin_proof().final_statement
-    return check_lr_statement(
+    return check_statement(
         statement, setup3, seed=0, samples_per_pair=SAMPLES,
         random_starts=RANDOM_STARTS, workers=workers,
     )

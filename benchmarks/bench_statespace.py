@@ -30,8 +30,9 @@ import time
 import pytest
 
 from repro.algorithms import lehmann_rabin as lr
-from repro.analysis.montecarlo import LRExperimentSetup, check_lr_statement
+from repro.analysis.montecarlo import check_statement
 from repro.errors import StateBudgetExceeded
+from repro.models import get_model
 from repro.parallel.seeds import rng_from_seed
 from repro.statespace import BatchedEngine, build_engine
 
@@ -45,7 +46,7 @@ BATCHED_LOOP_SAMPLES = 40_000
 
 def run_check(setup, engine, samples):
     statement = lr.lehmann_rabin_proof().final_statement
-    return check_lr_statement(
+    return check_statement(
         statement, setup, seed=0, samples_per_pair=samples,
         random_starts=4, engine=engine,
     )
@@ -71,7 +72,7 @@ def test_batched_at_least_2x_faster():
     # Only Markov round policies: the coin-peeking hashed-random
     # adversaries always sample through the tree walk and would dilute
     # the measured ratio with identical work on both sides.
-    setup = LRExperimentSetup.build(3, random_seeds=())
+    setup = get_model("lr").build(3, random_seeds=())
     run_check(setup, "tree", SAMPLES)  # warm transition caches
 
     started = time.perf_counter()
@@ -104,7 +105,7 @@ def test_batched_at_least_2x_faster():
 
 def build_loop_engine(engine):
     """One engine for the composed statement, n=3, Markov-only family."""
-    setup = LRExperimentSetup.build(3, random_seeds=())
+    setup = get_model("lr").build(3, random_seeds=())
     statement = lr.lehmann_rabin_proof().final_statement
     starts = tuple(
         state

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.montecarlo import LRExperimentSetup
+from repro.models import ExperimentSetup, get_model
 
 
 @pytest.fixture(scope="session")
-def setup3() -> LRExperimentSetup:
+def setup3() -> ExperimentSetup:
     """The standard ring-of-3 experiment setup."""
-    return LRExperimentSetup.build(3, random_seeds=(1, 2, 3))
+    return get_model("lr").build(3, random_seeds=(1, 2, 3))
 
 
 @pytest.fixture(scope="session")
-def setup4() -> LRExperimentSetup:
+def setup4() -> ExperimentSetup:
     """The ring-of-4 experiment setup."""
-    return LRExperimentSetup.build(4, random_seeds=(1, 2))
+    return get_model("lr").build(4, random_seeds=(1, 2))

@@ -14,12 +14,12 @@ import sys
 
 from repro.algorithms import lehmann_rabin as lr
 from repro.analysis.montecarlo import (
-    LRExperimentSetup,
     check_all_leaves,
-    check_lr_statement,
-    measure_lr_expected_time,
+    check_statement,
+    measure_expected_time,
 )
 from repro.analysis.reporting import banner, format_table
+from repro.models import get_model
 
 
 def main(n: int = 3) -> None:
@@ -31,7 +31,7 @@ def main(n: int = 3) -> None:
     print(f"\nExpected-time bound (Section 6.2 recursion): "
           f"{lr.expected_time_bound()}")
 
-    setup = LRExperimentSetup.build(n)
+    setup = get_model("lr").build(n)
 
     print("\n" + banner("Leaf statements (Monte-Carlo, hostile adversaries)"))
     reports = check_all_leaves(setup, samples_per_pair=80)
@@ -52,13 +52,13 @@ def main(n: int = 3) -> None:
     ))
 
     print("\n" + banner("Composed statement T --13-->_1/8 C"))
-    final_report = check_lr_statement(
+    final_report = check_statement(
         chain.final_statement, setup, samples_per_pair=80
     )
     print(final_report.summary_line())
 
     print("\n" + banner("Expected time to the critical region (bound: 63)"))
-    time_reports = measure_lr_expected_time(setup, samples=80)
+    time_reports = measure_expected_time(setup, samples=80)
     rows = [
         (
             name,

@@ -11,7 +11,6 @@ from repro.adversary.base import (
     FunctionAdversary,
     ShiftedAdversary,
     all_adversaries_schema,
-    check_execution_closure_on_samples,
     shift,
 )
 from repro.adversary.deterministic import (
@@ -29,7 +28,6 @@ from repro.adversary.greedy import GreedyMinimizerPolicy
 from repro.adversary.search import (
     HashedRandomRoundPolicy,
     fragment_digest,
-    seeded_policies,
 )
 from repro.adversary.unit_time import (
     ADVANCE_TIME,
@@ -67,9 +65,7 @@ __all__ = [
     "StoppingAdversary",
     "evenly_staggered",
     "all_adversaries_schema",
-    "check_execution_closure_on_samples",
     "fragment_digest",
-    "seeded_policies",
     "shift",
     "steps_of_process",
     "unit_time_schema",

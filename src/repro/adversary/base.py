@@ -25,7 +25,6 @@ from typing import (
     Hashable,
     Iterable,
     Optional,
-    Sequence,
     Tuple,
     TypeVar,
 )
@@ -246,33 +245,3 @@ def all_adversaries_schema(name: str = "Advs") -> AdversarySchema:
         name=name, contains=lambda adversary: True, execution_closed=True
     )
 
-
-def check_execution_closure_on_samples(
-    schema: AdversarySchema[State],
-    automaton: ProbabilisticAutomaton[State],
-    adversaries: Sequence[Adversary[State]],
-    prefixes: Sequence[ExecutionFragment[State]],
-    probes: Sequence[ExecutionFragment[State]],
-) -> bool:
-    """Empirically probe Definition 3.3 on concrete samples.
-
-    For each sampled adversary and prefix, checks that the shifted
-    wrapper (a) remains in the schema by the schema's own membership
-    test and (b) agrees with the defining equation on each probe
-    fragment.  This cannot *prove* closure (the quantifiers are
-    infinite) but catches schema definitions that are wrong on their
-    own representatives.
-    """
-    for adversary in adversaries:
-        for prefix in prefixes:
-            shifted = shift(adversary, prefix)
-            if not schema.contains(shifted):
-                return False
-            for probe in probes:
-                if probe.fstate != prefix.lstate:
-                    continue
-                expected = adversary.choose(automaton, prefix.concat(probe))
-                actual = shifted.choose(automaton, probe)
-                if expected != actual:
-                    return False
-    return True

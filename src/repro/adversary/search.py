@@ -1,4 +1,4 @@
-"""Derandomised "random" policies and policy enumeration helpers.
+"""Derandomised "random" policies: history-hashed round orders.
 
 The paper's adversaries are deterministic functions of the history
 (footnote 1 excludes randomised adversaries).  To explore the adversary
@@ -17,7 +17,7 @@ observed success probability is the empirical analogue of the paper's
 from __future__ import annotations
 
 import hashlib
-from typing import Hashable, Iterator, Tuple, TypeVar
+from typing import Hashable, Tuple, TypeVar
 
 from repro.adversary.unit_time import (
     ADVANCE_TIME,
@@ -94,10 +94,3 @@ class HashedRandomRoundPolicy(RoundPolicy[State]):
     def __repr__(self) -> str:
         return f"HashedRandomRoundPolicy(seed={self._seed})"
 
-
-def seeded_policies(
-    count: int, first_seed: int = 0
-) -> Iterator[HashedRandomRoundPolicy]:
-    """A family of ``count`` derandomised policies with distinct seeds."""
-    for offset in range(count):
-        yield HashedRandomRoundPolicy(first_seed + offset)

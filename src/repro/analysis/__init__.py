@@ -9,15 +9,12 @@ from repro.analysis.experiments import (
     ring_size_sweep,
 )
 from repro.analysis.montecarlo import (
-    LRExperimentSetup,
     check_all_leaves,
-    check_lr_statement,
     check_statement,
     measure_expected_time,
-    measure_lr_expected_time,
     start_states_for,
 )
-from repro.analysis.reporting import banner, format_fraction, format_table
+from repro.analysis.reporting import banner, format_table
 
 # The Lehmann-Rabin phase decomposition moved to
 # repro.algorithms.lehmann_rabin.phases with the model front-end split:
@@ -26,18 +23,14 @@ from repro.analysis.reporting import banner, format_fraction, format_table
 __all__ = [
     "AdversaryPowerRow",
     "HorizonRow",
-    "LRExperimentSetup",
     "ScalingRow",
     "adversary_power_comparison",
     "banner",
     "check_all_leaves",
-    "check_lr_statement",
     "check_statement",
-    "format_fraction",
     "format_table",
     "horizon_sweep",
     "measure_expected_time",
-    "measure_lr_expected_time",
     "ring_size_sweep",
     "start_states_for",
 ]

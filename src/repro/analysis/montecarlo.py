@@ -4,12 +4,9 @@ Wraps :mod:`repro.proofs.verifier` with the model-level specifics:
 building the automaton and adversary family for an instance size,
 sampling region start states, and aggregating per-claim results into
 the rows the benchmarks print.  All model knowledge flows through the
-:class:`~repro.models.base.Model` protocol — the historical
-Lehmann-Rabin entry points (``LRExperimentSetup``,
-``check_lr_statement``, ...) are thin aliases over the generic
-functions with the ``lr`` model's hooks, and their behaviour (spans,
-seed derivations, start-state selection) is byte-identical to the
-hard-wired originals.
+:class:`~repro.models.base.Model` protocol: a setup comes from
+``get_model(name).build(n)``, and the same functions serve every
+registered model.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from repro import obs
 from repro.contracts import GuardConfig
 from repro.errors import VerificationError
 from repro.models.base import ExperimentSetup, require_model
-from repro.models.lr import LRExperimentSetup
 from repro.parallel.pool import RunPolicy
 from repro.parallel.seeds import derive_rng, derive_seed
 from repro.proofs.statements import ArrowStatement
@@ -33,12 +29,9 @@ from repro.proofs.verifier import (
 )
 
 __all__ = [
-    "LRExperimentSetup",
     "check_all_leaves",
-    "check_lr_statement",
     "check_statement",
     "measure_expected_time",
-    "measure_lr_expected_time",
     "start_states_for",
 ]
 
@@ -206,9 +199,3 @@ def measure_expected_time(
             )
     return reports
 
-
-#: Historical Lehmann-Rabin names, kept as exact aliases: with a setup
-#: built by ``LRExperimentSetup.build`` these run the same code path,
-#: spans, and seed derivations as before the model front-end existed.
-check_lr_statement = check_statement
-measure_lr_expected_time = measure_expected_time

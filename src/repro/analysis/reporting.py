@@ -14,11 +14,6 @@ from __future__ import annotations
 from repro.obs.sinks import format_table
 
 
-def format_fraction(value, digits: int = 4) -> str:
-    """Render an exact fraction with its float approximation."""
-    return f"{value} (~{float(value):.{digits}f})"
-
-
 def banner(title: str) -> str:
     """A section banner for experiment logs."""
     rule = "=" * max(len(title), 8)

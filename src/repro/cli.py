@@ -78,24 +78,17 @@ import sys
 from contextlib import contextmanager, nullcontext
 from typing import Optional, Sequence
 
-from repro.errors import VerificationError
+from repro.errors import (
+    EXIT_CONTRACT,
+    EXIT_DIVERGENCE,
+    EXIT_POOL,
+    EXIT_USAGE,
+    VerificationError,
+)
 
 # Retries a pooled task gets by default before its failure aborts the
 # run: survives transient worker losses at zero cost on healthy runs.
 DEFAULT_RETRIES = 2
-
-# Exit status for model-contract violations: a strict-mode guard
-# raised, or a run completed with quarantined (adversary, start) pairs.
-# Distinct from 1 (statement refuted) so callers can tell "the model is
-# broken" from "the claim is false".
-EXIT_CONTRACT = 4
-
-# Exit status for engine divergence: a defect-corpus replay or a fuzz
-# campaign found two engines classifying the same case differently (or
-# an entry classified other than its registry expectation).  Distinct
-# from every other failure — it means the *harness itself* is broken,
-# not the model or the claim.
-EXIT_DIVERGENCE = 5
 
 EXIT_STATUS_EPILOG = """\
 exit status:
@@ -1439,7 +1432,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{summary['leases_reclaimed']} lease(s) reclaimed"
         )
         print(f"jobs: {states or 'none submitted'}")
-    return 3 if summary["jobs"].get("failed") else 0
+    return EXIT_POOL if summary["jobs"].get("failed") else 0
 
 
 def _cmd_jobs(args: argparse.Namespace) -> int:
@@ -1616,7 +1609,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = EXIT_CONTRACT
     except VerificationError as error:
         print(f"repro: error: {error}", file=sys.stderr)
-        code = 2
+        code = EXIT_USAGE
     except (PoolFaultError, CheckpointError, ServiceError) as error:
         print(f"repro: error: {error}", file=sys.stderr)
         if getattr(args, "checkpoint", None) and not isinstance(
@@ -1627,7 +1620,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "--resume to pick up where this run stopped",
                 file=sys.stderr,
             )
-        code = 3
+        code = EXIT_POOL
     _maybe_write_manifest(
         args, recorded_argv, started_at,
         time.perf_counter() - started, code,

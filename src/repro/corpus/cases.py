@@ -216,12 +216,6 @@ def raising_adversary() -> FunctionAdversary:
     return FunctionAdversary(_raise_inside_task, name="raiser")
 
 
-def honest_schema() -> AdversarySchema:
-    return AdversarySchema(
-        name="tiny-honest", contains=lambda adv: True, execution_closed=True
-    )
-
-
 def liar_schema() -> AdversarySchema:
     """Claims execution closure but rejects every shifted member."""
     return AdversarySchema(

@@ -37,6 +37,12 @@ from repro.corpus.registry import (
     CorpusEntry,
 )
 from repro.errors import (
+    EXIT_CONTRACT,
+    EXIT_DIVERGENCE,
+    EXIT_OK,
+    EXIT_POOL,
+    EXIT_REFUTED,
+    EXIT_USAGE,
     CheckpointError,
     ContractViolation,
     PoolFaultError,
@@ -47,16 +53,6 @@ from repro.errors import (
 from repro.parallel.pool import fork_available
 from repro.proofs.verifier import check_arrow_by_sampling
 from repro.statespace.compile import compile_space
-
-# CLI exit statuses the classifications map to.  Kept in lockstep with
-# src/repro/cli.py (asserted by tests/test_corpus.py) but defined here
-# so the corpus layer does not import the CLI.
-EXIT_OK = 0
-EXIT_REFUTED = 1
-EXIT_USAGE = 2
-EXIT_POOL = 3
-EXIT_CONTRACT = 4
-EXIT_DIVERGENCE = 5
 
 
 @dataclass(frozen=True)

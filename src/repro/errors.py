@@ -3,9 +3,34 @@
 Every error raised intentionally by the library derives from
 :class:`ReproError`, so callers can catch library failures with a single
 ``except`` clause while letting genuine programming errors propagate.
+
+The CLI's exit statuses live here too, beside the taxonomy that maps to
+them: :mod:`repro.cli` and the corpus runner both import this one table.
 """
 
 from __future__ import annotations
+
+#: Every checked claim held.
+EXIT_OK = 0
+#: A checked claim was refuted (or a measured bound failed).
+EXIT_REFUTED = 1
+#: Usage error: argparse errors and every :class:`VerificationError` (a
+#: flag value the run cannot use, an unknown model or proposition, a
+#: blown state budget).
+EXIT_USAGE = 2
+#: Infrastructure failure: a :class:`PoolFaultError`, a
+#: :class:`CheckpointError` or a :class:`ServiceError`.
+EXIT_POOL = 3
+#: Model-contract violation: a strict-mode :class:`ContractViolation`,
+#: audit findings, or quarantined (adversary, start) pairs.  Distinct
+#: from :data:`EXIT_REFUTED` so callers can tell "the model is broken"
+#: from "the claim is false".
+EXIT_CONTRACT = 4
+#: Engine divergence: a defect-corpus replay or a fuzz campaign found
+#: two engines classifying the same case differently (or an entry
+#: classified other than its registry expectation).  It means the
+#: harness itself is broken, not the model or the claim.
+EXIT_DIVERGENCE = 5
 
 
 class ReproError(Exception):

@@ -11,7 +11,6 @@ from repro.execution.sampler import (
     SampleResult,
     sample_event,
     sample_time_until,
-    trim_fragment,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "rectangle_probability",
     "sample_event",
     "sample_time_until",
-    "trim_fragment",
 ]

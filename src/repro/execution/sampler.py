@@ -193,14 +193,3 @@ def _record_time_sample(elapsed: Optional[Fraction], steps: int) -> None:
     else:
         obs.observe("sampler.time_to_target", float(elapsed))
 
-
-def trim_fragment(fragment: ExecutionFragment[State]) -> ExecutionFragment[State]:
-    """Restart a fragment at its last state.
-
-    Utility for long-running samplers that only need bounded history:
-    callers that know their adversary and schema look at bounded history
-    can trim to keep memory flat.  (The adversaries in this library that
-    need full history — coin-peeking policies — must not be used with
-    trimming; the samplers above never trim implicitly.)
-    """
-    return ExecutionFragment.initial(fragment.lstate)

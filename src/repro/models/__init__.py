@@ -21,14 +21,13 @@ from repro.models.base import (
 )
 from repro.models.registry import (
     get_model,
-    model_names,
     register_model,
     registered_models,
 )
 
 # Importing a model module registers it; `lr` first so it is the
 # default and leads every listing.
-from repro.models.lr import LR_MODEL, LRExperimentSetup
+from repro.models.lr import LR_MODEL
 from repro.models.benor import BENOR_MODEL
 from repro.models.election import ELECTION_MODEL
 from repro.models.herman import HERMAN_MODEL
@@ -38,12 +37,10 @@ __all__ = [
     "ELECTION_MODEL",
     "ExperimentSetup",
     "HERMAN_MODEL",
-    "LRExperimentSetup",
     "LR_MODEL",
     "Model",
     "ProofChain",
     "get_model",
-    "model_names",
     "register_model",
     "registered_models",
     "require_model",

@@ -133,12 +133,11 @@ class Model:
 class ExperimentSetup:
     """Everything needed to run verification experiments on one instance.
 
-    Extracted from the historical ``LRExperimentSetup`` (which is now a
-    thin subclass in :mod:`repro.models.lr`): the automaton, the process
-    view backing Unit-Time scheduling, the named adversary family, and
-    the declared schema.  ``model`` back-references the registry entry
-    so the generic analysis layer can reach the model's predicates and
-    quotient hooks.
+    The automaton, the process view backing Unit-Time scheduling, the
+    named adversary family, and the declared schema, as a model's
+    ``build(n)`` returns them.  ``model`` back-references the registry
+    entry so the generic analysis layer can reach the model's
+    predicates and quotient hooks.
     """
 
     n: int

@@ -20,36 +20,31 @@ from repro.models.base import ExperimentSetup, Model
 from repro.models.registry import register_model
 
 
-class LRExperimentSetup(ExperimentSetup):
-    """Everything needed to run Lehmann-Rabin experiments on one ring.
+def _build(
+    n: int,
+    max_rounds: Optional[int] = None,
+    random_seeds: Sequence[int] = (1, 2, 3),
+) -> ExperimentSetup:
+    """Automaton, view, and Unit-Time adversary family for ``n``.
 
-    The historical entry point, kept as a thin subclass of the generic
-    :class:`~repro.models.base.ExperimentSetup`; ``build`` remains the
-    canonical constructor and existing imports keep working.
+    ``max_rounds`` caps the round-based adversaries and
+    ``random_seeds`` picks the derandomised-random members of the
+    family; the registry calls it with ``n`` alone.
     """
-
-    @classmethod
-    def build(
-        cls,
-        n: int,
-        max_rounds: Optional[int] = None,
-        random_seeds: Sequence[int] = (1, 2, 3),
-    ) -> "LRExperimentSetup":
-        """Construct the automaton, view, and adversary family for ``n``."""
-        with obs.span("lr.setup_build", n=n):
-            view = lr.LRProcessView(n)
-            return cls(
-                n=n,
-                automaton=lr.lehmann_rabin_automaton(n),
-                view=view,
-                adversaries=tuple(
-                    lr.lr_adversary_family(
-                        view, max_rounds=max_rounds, random_seeds=random_seeds
-                    )
-                ),
-                schema=unit_time_schema(view),
-                model=LR_MODEL,
-            )
+    with obs.span("lr.setup_build", n=n):
+        view = lr.LRProcessView(n)
+        return ExperimentSetup(
+            n=n,
+            automaton=lr.lehmann_rabin_automaton(n),
+            view=view,
+            adversaries=tuple(
+                lr.lr_adversary_family(
+                    view, max_rounds=max_rounds, random_seeds=random_seeds
+                )
+            ),
+            schema=unit_time_schema(view),
+            model=LR_MODEL,
+        )
 
 
 def _validate_n(n: int) -> None:
@@ -90,7 +85,7 @@ LR_MODEL = register_model(
         n_range="n >= 2 (n <= 4 compiles within the default state budget)",
         default_prop="composed",
         validate_n=_validate_n,
-        build=LRExperimentSetup.build,
+        build=_build,
         time_of=lr.lr_time_of,
         leaf_statements=lambda n: lr.leaf_statements(),
         proof_chain=lambda n: lr.lehmann_rabin_proof(),

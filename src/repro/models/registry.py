@@ -37,11 +37,6 @@ def get_model(name: str) -> Model:
     return model
 
 
-def model_names() -> Tuple[str, ...]:
-    """Registered names in registration order (``lr`` ships first)."""
-    return tuple(_REGISTRY)
-
-
 def registered_models() -> Tuple[Model, ...]:
     """Registered models in registration order."""
     return tuple(_REGISTRY.values())

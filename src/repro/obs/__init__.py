@@ -61,7 +61,6 @@ from repro.obs.registry import (
     install,
     recording,
     recording_registry,
-    reset,
 )
 from repro.obs.trace import NoopTracer, Span, Tracer
 
@@ -123,6 +122,5 @@ __all__ = [
     "progress",
     "recording",
     "recording_registry",
-    "reset",
     "span",
 ]

@@ -182,14 +182,6 @@ DYNAMIC_PREFIXES: Dict[str, Tuple[str, str]] = {
 }
 
 
-def declared(name: str) -> bool:
-    """True when ``name`` is a declared metric or extends a declared
-    dynamic-family prefix."""
-    if name in METRICS:
-        return True
-    return any(name.startswith(prefix) for prefix in DYNAMIC_PREFIXES)
-
-
 def catalog_markdown() -> str:
     """The full metric catalog as a markdown table (for the docs)."""
     lines = ["| name | kind | description |", "| --- | --- | --- |"]

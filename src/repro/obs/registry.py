@@ -57,11 +57,6 @@ def install(registry: Registry) -> Registry:
     return previous
 
 
-def reset() -> None:
-    """Restore the no-op default registry."""
-    install(NOOP_REGISTRY)
-
-
 def recording_registry(
     clock: Optional[Callable[[], float]] = None
 ) -> Registry:

@@ -168,11 +168,6 @@ class FaultPlan:
             return CORRUPT
         return None
 
-    @property
-    def service_active(self) -> bool:
-        """True when any service-level fault can fire."""
-        return (self.kill + self.steal + self.torn + self.cache) > 0.0
-
     def decide_service(self, kind: str, *identity: object) -> bool:
         """Whether the service fault ``kind`` fires at one site.
 

@@ -20,14 +20,8 @@ from repro.probability.space import (
 )
 from repro.probability.stats import (
     BernoulliSummary,
-    MeanSummary,
     clopper_pearson_lower,
     clopper_pearson_upper,
-    hoeffding_lower_bound,
-    hoeffding_upper_bound,
-    refutes_lower_bound,
-    supports_lower_bound,
-    wilson_interval,
 )
 
 __all__ = [
@@ -35,16 +29,10 @@ __all__ = [
     "ProbabilitySpace",
     "as_fraction",
     "BernoulliSummary",
-    "MeanSummary",
     "SequentialProbabilityRatioTest",
     "SprtResult",
     "SprtVerdict",
     "sprt_for_claim",
     "clopper_pearson_lower",
     "clopper_pearson_upper",
-    "hoeffding_lower_bound",
-    "hoeffding_upper_bound",
-    "refutes_lower_bound",
-    "supports_lower_bound",
-    "wilson_interval",
 ]

@@ -1,10 +1,10 @@
 """Shared report plumbing for every verifier report type.
 
-Three fragments of plumbing used to be duplicated (or nearly so) across
+Two fragments of plumbing used to be duplicated (or nearly so) across
 the sampling, exact, and time-to-target report paths in
 :mod:`repro.proofs.verifier`: the checkpoint-scope marker for
-outcome-affecting guard settings, root-seed resolution, and the
-``to_dict`` row shaping for per-pair entries and quarantine records.
+outcome-affecting guard settings, and the ``to_dict`` row shaping for
+per-pair entries and quarantine records.
 Centralising them here means a report produced by the batched
 state-space engine cannot drift from the tree engine's byte-for-byte —
 both go through the same helpers.
@@ -12,11 +12,9 @@ both go through the same helpers.
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.contracts import GuardConfig, QuarantinedPair
-from repro.errors import VerificationError
 
 
 def guard_scope_suffix(config: GuardConfig) -> str:
@@ -35,22 +33,6 @@ def guard_scope_suffix(config: GuardConfig) -> str:
         f"|guards={config.mode}"
         f"|fuel={config.fuel_steps},{config.fuel_seconds}"
     )
-
-
-def resolve_root_seed(
-    rng: Optional[random.Random], seed: Optional[int]
-) -> int:
-    """The root seed all per-task streams derive from.
-
-    An explicit ``seed`` wins; otherwise one 64-bit draw from ``rng``
-    becomes the root, so legacy rng-passing callers stay deterministic
-    in the rng's state.
-    """
-    if seed is not None:
-        return int(seed)
-    if rng is None:
-        raise VerificationError("supply an rng or an explicit seed")
-    return rng.getrandbits(64)
 
 
 def pair_row(adversary_name: str, start_state: object, **fields) -> dict:

@@ -27,7 +27,6 @@ independent of scheduling order (see ``docs/parallel.md``).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (
@@ -71,7 +70,6 @@ from repro.proofs.reporting import (
     pair_row,
     quarantine_from_violation,
     quarantined_rows,
-    resolve_root_seed,
 )
 from repro.proofs.statements import ArrowStatement
 from repro.statespace.compile import SpaceSpec
@@ -217,12 +215,11 @@ def check_arrow_by_sampling(
     adversaries: Sequence[Tuple[str, Adversary[State]]],
     start_states: Sequence[State],
     time_of: Callable[[State], Fraction],
-    rng: Optional[random.Random] = None,
     samples_per_pair: int = 200,
     max_steps: int = 2_000,
     confidence: float = 0.99,
     *,
-    seed: Optional[int] = None,
+    seed: int,
     workers: int = 1,
     early_stop: bool = False,
     policy: Optional[RunPolicy] = None,
@@ -239,8 +236,8 @@ def check_arrow_by_sampling(
     lower bounds on the true success probability.
 
     Each (adversary, start state) pair samples from its own stream,
-    seeded by a stable hash of the root seed (``seed``, or one draw
-    from ``rng``) and the pair's identity — so the report is
+    seeded by a stable hash of the root ``seed`` and the pair's
+    identity — so the report is
     bit-identical for any ``workers`` count, and adding pairs never
     perturbs existing ones.  With ``early_stop``, a pair stops sampling
     (in ``DEFAULT_CHUNK_SIZE`` increments, ``samples_per_pair``
@@ -275,7 +272,7 @@ def check_arrow_by_sampling(
 
     guard_config = guards if guards is not None else OFF_CONFIG
     guard_config.validate()
-    root_seed = resolve_root_seed(rng, seed)
+    root_seed = int(seed)
     pairs: List[Tuple[str, State]] = []
     for name, _ in adversaries:
         for start in start_states:
@@ -566,11 +563,10 @@ def measure_time_to_target(
     start_states: Sequence[State],
     target: Callable[[State], bool],
     time_of: Callable[[State], Fraction],
-    rng: Optional[random.Random] = None,
     samples: int = 200,
     max_steps: int = 20_000,
     *,
-    seed: Optional[int] = None,
+    seed: int,
     workers: int = 1,
     policy: Optional[RunPolicy] = None,
     schema: Optional[AdversarySchema] = None,
@@ -600,7 +596,7 @@ def measure_time_to_target(
         raise VerificationError("no start states supplied")
     guard_config = guards if guards is not None else OFF_CONFIG
     guard_config.validate()
-    root_seed = resolve_root_seed(rng, seed)
+    root_seed = int(seed)
     samples_per_start = math.ceil(samples / len(start_states))
     occurrences = occurrence_indices(
         [repr(start) for start in start_states]

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 
-from repro.service.cache import ResultCache
+from repro.service.cache import ResultCache, cache_dir
 from repro.service.jobs import ALLOWED_COMMANDS, JobSpec
 from repro.service.store import JobStore, JobView
 from repro.service.supervisor import CrashLoopDetector, Supervisor
@@ -60,11 +60,6 @@ def resolve_store_dir(flag: object = None) -> str:
     if env:
         return env
     return DEFAULT_SERVICE_DIR
-
-
-def cache_dir(store_root: str) -> str:
-    """The result-cache directory inside a job-store root."""
-    return os.path.join(str(store_root), "cache")
 
 
 __all__ = [

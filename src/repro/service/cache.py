@@ -31,6 +31,11 @@ from typing import Dict, Optional
 from repro import durable_io, obs
 
 
+def cache_dir(store_root: str) -> str:
+    """The result-cache directory inside a job-store root."""
+    return os.path.join(str(store_root), "cache")
+
+
 def payload_digest(payload: Dict[str, object]) -> str:
     """SHA-256 over the canonical JSON form of a cache payload."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -238,7 +238,6 @@ class Supervisor:
             target=worker_mod.worker_process_main,
             args=(
                 self.root,
-                os.path.join(self.root, "cache"),
                 f"w{slot.index}.{slot.spawned}.{os.getpid()}",
                 {
                     "lease_seconds": self.lease_seconds,

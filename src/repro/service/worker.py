@@ -33,7 +33,7 @@ import time
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import LeaseExpiredError, ServiceError
-from repro.service.cache import ResultCache
+from repro.service.cache import ResultCache, cache_dir
 from repro.service.store import JobStore, JobView
 
 #: Exit status of a worker killed by ``kill`` fault injection.
@@ -238,7 +238,6 @@ def _finish_one(
 
 def worker_process_main(
     store_root: str,
-    cache_root: str,
     worker_id: str,
     options: Dict[str, object],
 ) -> None:
@@ -265,7 +264,7 @@ def worker_process_main(
     spec = options.get("faults")
     faults = FaultPlan.parse(str(spec)) if spec else None
     store = JobStore(store_root, faults=faults)
-    cache = ResultCache(cache_root, faults=faults)
+    cache = ResultCache(cache_dir(store_root), faults=faults)
     worker_loop(
         store,
         cache,

@@ -9,7 +9,6 @@ from repro.adversary.base import (
     FunctionAdversary,
     ShiftedAdversary,
     all_adversaries_schema,
-    check_execution_closure_on_samples,
     shift,
 )
 from repro.adversary.deterministic import (
@@ -21,7 +20,8 @@ from repro.adversary.deterministic import (
 )
 from repro.automaton.execution import ExecutionFragment
 from repro.automaton.transition import Transition
-from repro.errors import AdversaryError
+from repro.errors import AdversaryError, ExecutionClosureError
+from repro.parallel.seeds import derive_rng
 
 
 def initial(state):
@@ -164,28 +164,23 @@ class TestSchemas:
         with pytest.raises(AdversaryError):
             schema.with_generators([FirstEnabledAdversary()])
 
-    def test_closure_probe_passes_for_all_schema(self, coin_walk):
+    def test_closure_probe_passes_for_all_schema(self):
         schema = all_adversaries_schema()
-        prefix = initial("start").extend("hop1", "middle")
-        probe = initial("middle")
-        assert check_execution_closure_on_samples(
-            schema, coin_walk,
-            adversaries=[RoundRobinAdversary(), FirstEnabledAdversary()],
-            prefixes=[prefix],
-            probes=[probe],
-        )
+        fragment = initial("start").extend("hop1", "middle")
+        rng = derive_rng(0, "closure")
+        for adversary in (RoundRobinAdversary(), FirstEnabledAdversary()):
+            schema.spot_check_closure(adversary, fragment, rng, probes=4)
 
-    def test_closure_probe_detects_non_closed_schema(self, coin_walk):
-        # A schema that excludes shifted wrappers fails the probe.
+    def test_closure_probe_detects_non_closed_schema(self):
+        # A schema that claims closure but excludes shifted wrappers
+        # fails the probe on its first cut.
         schema = AdversarySchema(
             name="raw-only",
             contains=lambda a: not isinstance(a, ShiftedAdversary),
-            execution_closed=False,
+            execution_closed=True,
         )
-        prefix = initial("start").extend("hop1", "middle")
-        assert not check_execution_closure_on_samples(
-            schema, coin_walk,
-            adversaries=[FirstEnabledAdversary()],
-            prefixes=[prefix],
-            probes=[initial("middle")],
-        )
+        fragment = initial("start").extend("hop1", "middle")
+        with pytest.raises(ExecutionClosureError, match="raw-only"):
+            schema.spot_check_closure(
+                FirstEnabledAdversary(), fragment, derive_rng(0, "closure")
+            )

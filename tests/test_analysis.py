@@ -9,12 +9,12 @@ import pytest
 from repro.algorithms import lehmann_rabin as lr
 from repro.analysis.experiments import horizon_sweep
 from repro.analysis.montecarlo import (
-    LRExperimentSetup,
-    check_lr_statement,
-    measure_lr_expected_time,
+    check_statement,
+    measure_expected_time,
     start_states_for,
 )
-from repro.analysis.reporting import banner, format_fraction, format_table
+from repro.analysis.reporting import banner, format_table
+from repro.models import get_model
 
 
 class TestReporting:
@@ -32,12 +32,6 @@ class TestReporting:
         with pytest.raises(ValueError):
             format_table(("a", "b"), [("only-one",)])
 
-    def test_format_fraction(self):
-        from fractions import Fraction
-
-        text = format_fraction(Fraction(1, 8))
-        assert text.startswith("1/8") and "0.1250" in text
-
     def test_banner(self):
         text = banner("Hello")
         assert text.splitlines()[1] == "Hello"
@@ -45,13 +39,13 @@ class TestReporting:
 
 class TestSetup:
     def test_build_creates_family(self):
-        setup = LRExperimentSetup.build(3, random_seeds=(1,))
+        setup = get_model("lr").build(3, random_seeds=(1,))
         assert setup.n == 3
         names = [name for name, _ in setup.adversaries]
         assert "fifo" in names and "obstructionist" in names
 
     def test_start_states_cover_source_region(self):
-        setup = LRExperimentSetup.build(3, random_seeds=())
+        setup = get_model("lr").build(3, random_seeds=())
         statement = lr.leaf_statements()["A.11"]  # source G
         states = start_states_for(
             statement, setup, random.Random(0), random_count=3
@@ -60,7 +54,7 @@ class TestSetup:
         assert all(statement.source.contains(s) for s in states)
 
     def test_canonical_states_included_when_in_region(self):
-        setup = LRExperimentSetup.build(3, random_seeds=())
+        setup = get_model("lr").build(3, random_seeds=())
         statement = lr.leaf_statements()["A.3"]  # source T
         states = start_states_for(
             statement, setup, random.Random(0), random_count=0
@@ -70,9 +64,9 @@ class TestSetup:
 
 
 class TestRunners:
-    def test_check_lr_statement_smoke(self):
-        setup = LRExperimentSetup.build(3, random_seeds=(1,))
-        report = check_lr_statement(
+    def test_check_statement_smoke(self):
+        setup = get_model("lr").build(3, random_seeds=(1,))
+        report = check_statement(
             lr.leaf_statements()["A.1"],
             setup,
             samples_per_pair=10,
@@ -83,8 +77,8 @@ class TestRunners:
         assert report.min_estimate == 1.0  # P -> C is certain
 
     def test_measure_expected_time_smoke(self):
-        setup = LRExperimentSetup.build(3, random_seeds=())
-        reports = measure_lr_expected_time(setup, samples=6, max_steps=4_000)
+        setup = get_model("lr").build(3, random_seeds=())
+        reports = measure_expected_time(setup, samples=6, max_steps=4_000)
         for name, report in reports.items():
             assert report.unreached == 0, name
             assert report.mean <= 63.0, name

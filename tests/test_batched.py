@@ -24,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms import lehmann_rabin as lr
-from repro.analysis.montecarlo import LRExperimentSetup
 from repro.adversary.unit_time import (
     HALT,
     MarkovRoundPolicy,
@@ -37,6 +36,7 @@ from repro.automaton.transition import Transition
 from repro.cli import main
 from repro.contracts import OFF_CONFIG, STRICT, WARN, GuardConfig
 from repro.errors import QuotientInvarianceError
+from repro.models import ExperimentSetup, get_model
 from repro.parallel import fork_available
 from repro.parallel.seeds import rng_from_seed
 from repro.statespace import (
@@ -51,8 +51,8 @@ pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 
 @pytest.fixture(scope="module")
-def setup3() -> LRExperimentSetup:
-    return LRExperimentSetup.build(3, random_seeds=(1,))
+def setup3() -> ExperimentSetup:
+    return get_model("lr").build(3, random_seeds=(1,))
 
 
 @pytest.fixture(scope="module")
@@ -529,7 +529,7 @@ class TestQuotientInvarianceGuard:
     def test_strict_violation_falls_back_to_tree_in_build(self, statement):
         # End to end: a non-invariant target under the quotient must
         # not silently ship a batched engine in auto mode.
-        setup = LRExperimentSetup.build(3, random_seeds=())
+        setup = get_model("lr").build(3, random_seeds=())
         strict = GuardConfig(mode=STRICT).validate()
         engine = build_engine(
             setup.automaton,
@@ -550,7 +550,7 @@ class TestQuotientFeasibilityN5:
     """The dihedral quotient fits n=5 inside the default state budget."""
 
     def test_exact_reach_completes_at_n5(self):
-        setup = LRExperimentSetup.build(5, random_seeds=())
+        setup = get_model("lr").build(5, random_seeds=())
         fifo_only = [pair for pair in setup.adversaries if pair[0] == "fifo"]
         assert fifo_only, "fifo adversary missing"
         start = lr.initial_state(5)

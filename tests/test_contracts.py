@@ -26,7 +26,11 @@ from pathlib import Path
 import pytest
 
 from repro import contracts, obs
-from repro.adversary.base import AdversarySchema, shift
+from repro.adversary.base import (
+    AdversarySchema,
+    all_adversaries_schema,
+    shift,
+)
 from repro.adversary.deterministic import FirstEnabledAdversary
 from repro.automaton.automaton import (
     ExplicitAutomaton,
@@ -49,7 +53,6 @@ from repro.corpus.cases import (
     A_CLASS,
     TINY_STATEMENT,
     broken_automaton,
-    honest_schema,
     liar_schema,
     rogue_adversary,
     smuggled_distribution,
@@ -117,6 +120,10 @@ def run_case(case, guards, workers=1):
         samples=case.samples,
         seed=case.seed,
     )
+
+
+#: The healthy schema: every adversary, execution closed.
+HONEST_SCHEMA = all_adversaries_schema("tiny-honest")
 
 
 def run_check(
@@ -402,7 +409,7 @@ class TestGuardChecks:
                 STRICT, outsider, FirstEnabledAdversary(), "first"
             )
         check_schema_membership(
-            STRICT, honest_schema(), FirstEnabledAdversary(), "first"
+            STRICT, HONEST_SCHEMA, FirstEnabledAdversary(), "first"
         )
 
     def test_closure_spot_check_catches_false_claim(self):
@@ -417,7 +424,7 @@ class TestGuardChecks:
                 rng,
             )
         spot_check_closure(
-            STRICT, honest_schema(), FirstEnabledAdversary(), fragment, rng
+            STRICT, HONEST_SCHEMA, FirstEnabledAdversary(), fragment, rng
         )
 
     def test_shift_witness_satisfies_definition(self):
@@ -581,7 +588,7 @@ class TestMutationMatrix:
                 case.automaton_factory(),
                 list(case.adversaries_factory()),
                 guards,
-                schema=honest_schema(),
+                schema=HONEST_SCHEMA,
                 workers=workers,
             ).to_dict()
             for guards in (OFF, WARN, STRICT)
@@ -671,7 +678,7 @@ class TestFuelAndQuarantine:
                 samples=6,
                 max_steps=24,
                 seed=5,
-                schema=honest_schema(),
+                schema=HONEST_SCHEMA,
                 guards=guards,
             ).to_dict()
             for guards in (OFF, WARN, STRICT)
@@ -772,6 +779,56 @@ class TestLintAssertBan:
         findings = lint.banned_handlers(path)
         assert [line for line, m in findings if "numpy" in m] == [1]
         assert lint.run_ban_check([tmp_path]) == 1
+
+    @staticmethod
+    def dead_surface_tree(tmp_path, index_rows=()):
+        """A tiny package: ``used`` has a caller, ``dead`` is only
+        re-exported, and ``loop`` only calls itself."""
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("from repro.mod import dead\n")
+        (package / "mod.py").write_text(
+            "def used():\n    pass\n\n\n"
+            "def dead():\n    pass\n\n\n"
+            "def loop():\n    return loop()\n"
+        )
+        (package / "other.py").write_text(
+            "from repro.mod import used\n\nused()\n"
+        )
+        design = tmp_path / "DESIGN.md"
+        design.write_text(
+            "## 3. System inventory\n\n| Definition | Kind | Why |\n"
+            "| --- | --- | --- |\n"
+            + "".join(f"| `{row}` | kind | why |\n" for row in index_rows)
+            + "\n## 4. Next\n\n| `mod.py:outside` | not | read |\n"
+        )
+        return package, design
+
+    def test_unindexed_dead_def_flagged(self, lint, tmp_path):
+        package, design = self.dead_surface_tree(tmp_path)
+        findings = lint.dead_surface_findings(package, design)
+        assert [(path.name, line) for path, line, _ in findings] == [
+            ("mod.py", 5), ("mod.py", 9),
+        ]
+        assert "'dead' has no caller under src/" in findings[0][2]
+
+    def test_indexed_dead_def_passes(self, lint, tmp_path):
+        package, design = self.dead_surface_tree(
+            tmp_path, ["mod.py:dead", "mod.py:loop"]
+        )
+        assert lint.dead_surface_findings(package, design) == []
+
+    def test_stale_index_rows_flagged(self, lint, tmp_path):
+        package, design = self.dead_surface_tree(
+            tmp_path,
+            ["mod.py:dead", "mod.py:loop", "mod.py:gone", "mod.py:used"],
+        )
+        findings = lint.dead_surface_findings(package, design)
+        assert [(path, line) for path, line, _ in findings] == [
+            (design, 8), (design, 7),
+        ]
+        assert "has a caller under src/ now" in findings[0][2]
+        assert "names no public top-level definition" in findings[1][2]
 
     @pytest.mark.parametrize("source, line", [
         ("import gc\ngc.disable()\n", 2),

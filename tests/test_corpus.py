@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import cli, obs
+from repro import cli, errors, obs
 from repro.cli import main
 from repro.corpus import (
     ENGINES,
@@ -68,14 +68,28 @@ def load_tool(name):
 
 class TestExitStatuses:
     def test_runner_constants_match_cli(self):
-        # The corpus layer redeclares the CLI statuses so it never
-        # imports the CLI; this is the lockstep assertion.
-        assert corpus_runner.EXIT_OK == 0
-        assert corpus_runner.EXIT_REFUTED == 1
-        assert corpus_runner.EXIT_USAGE == 2
-        assert corpus_runner.EXIT_POOL == 3
-        assert corpus_runner.EXIT_CONTRACT == cli.EXIT_CONTRACT == 4
-        assert corpus_runner.EXIT_DIVERGENCE == cli.EXIT_DIVERGENCE == 5
+        # One table in repro.errors, imported by the CLI and the corpus
+        # runner; `repro --help` documents exactly its codes.
+        documented = {
+            int(line.split()[0]): line
+            for line in cli.EXIT_STATUS_EPILOG.splitlines()
+            if line[:3].strip().isdigit()
+        }
+        table = {
+            "EXIT_OK": "success",
+            "EXIT_REFUTED": "refuted",
+            "EXIT_USAGE": "usage error",
+            "EXIT_POOL": "infrastructure failure",
+            "EXIT_CONTRACT": "model-contract violation",
+            "EXIT_DIVERGENCE": "engine divergence",
+        }
+        codes = {name: getattr(errors, name) for name in table}
+        assert sorted(codes.values()) == sorted(documented)
+        for name, phrase in table.items():
+            assert phrase in documented[codes[name]], name
+            assert getattr(corpus_runner, name) == codes[name], name
+        assert cli.EXIT_CONTRACT == errors.EXIT_CONTRACT
+        assert cli.EXIT_DIVERGENCE == errors.EXIT_DIVERGENCE
 
     def test_divergence_status_documented_in_help(self):
         text = cli.build_parser().format_help()

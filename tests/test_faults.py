@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import pytest
 
+import repro
 from repro import obs
 from repro.cli import main
 from repro.errors import (
@@ -47,6 +48,10 @@ from repro.parallel.seeds import derive_seed
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="the pooled paths need the fork method"
 )
+
+#: The ``src/`` directory of the package under test, for scripts run in
+#: a fresh interpreter.
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 @dataclass(frozen=True)
@@ -542,7 +547,7 @@ class TestInterruption:
             import os, sys, time
             from dataclasses import dataclass
 
-            sys.path.insert(0, {str(os.path.join("/root/repo", "src"))!r})
+            sys.path.insert(0, {SRC_DIR!r})
             from repro.parallel import Checkpoint, RunPolicy, run_tasks
 
             @dataclass(frozen=True)

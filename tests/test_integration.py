@@ -15,8 +15,9 @@ from fractions import Fraction
 import pytest
 
 from repro.algorithms import lehmann_rabin as lr
-from repro.analysis.montecarlo import LRExperimentSetup, check_lr_statement
+from repro.analysis.montecarlo import check_statement
 from repro.mdp.bounded import min_reach_probability_rounds
+from repro.models import get_model
 
 
 def strip(state):
@@ -81,9 +82,9 @@ class TestComposedStatement:
             assert value >= Fraction(1, 8), (name, value)
 
     def test_sampling_supports_composed_bound(self):
-        setup = LRExperimentSetup.build(3, random_seeds=(1, 2))
+        setup = get_model("lr").build(3, random_seeds=(1, 2))
         chain = lr.lehmann_rabin_proof()
-        report = check_lr_statement(
+        report = check_statement(
             chain.final_statement, setup, samples_per_pair=40,
             random_starts=3,
         )
@@ -112,10 +113,10 @@ class TestDerivationConsistency:
 
     def test_expected_time_dominates_measurements(self):
         """The paper's 63 upper-bounds every measured mean (n = 3)."""
-        from repro.analysis.montecarlo import measure_lr_expected_time
+        from repro.analysis.montecarlo import measure_expected_time
 
-        setup = LRExperimentSetup.build(3, random_seeds=(5,))
-        reports = measure_lr_expected_time(setup, samples=30, max_steps=6_000)
+        setup = get_model("lr").build(3, random_seeds=(5,))
+        reports = measure_expected_time(setup, samples=30, max_steps=6_000)
         for name, report in reports.items():
             assert report.unreached == 0, name
             assert report.mean <= 63.0, name

@@ -391,13 +391,27 @@ class TestMetricCatalog:
             assert prefix.endswith("."), prefix
             assert kind in kinds and description, prefix
 
-    def test_declared_matches_exact_names_and_prefixes(self):
-        from repro.obs import names
+    def test_declared_matches_exact_names_and_prefixes(self, tmp_path):
+        """The lint's catalog check accepts exact names and extensions
+        of a dynamic prefix, and nothing else."""
+        import importlib.util
+        from pathlib import Path
 
-        assert names.declared("verifier.samples")
-        assert names.declared("ledger.rule.anything")
-        assert not names.declared("verifier.samplez")
-        assert not names.declared("ledger.rule")
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "repro_lint", root / "tools" / "lint.py"
+        )
+        lint = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(lint)
+        source = tmp_path / "mod.py"
+        source.write_text(
+            'obs.incr("verifier.samples")\n'
+            'obs.incr("ledger.rule.anything")\n'
+            'obs.incr("verifier.samplez")\n'
+            'obs.incr("ledger.rule")\n'
+        )
+        findings = lint.undeclared_metric_sites(source, *lint.metric_catalog())
+        assert [line for line, _ in findings] == [3, 4]
 
     def test_docs_embed_the_generated_catalog(self):
         from pathlib import Path

@@ -10,7 +10,6 @@ exactly the sequential totals.
 from __future__ import annotations
 
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -18,8 +17,9 @@ import pytest
 from repro import obs
 from repro.adversary.deterministic import FirstEnabledAdversary
 from repro.algorithms import lehmann_rabin as lr
-from repro.analysis.montecarlo import LRExperimentSetup, check_lr_statement
+from repro.analysis.montecarlo import check_statement
 from repro.errors import VerificationError
+from repro.models import ExperimentSetup, get_model
 from repro.parallel import (
     derive_seed,
     fork_available,
@@ -52,8 +52,8 @@ NEVER = StateClass("Never", lambda s: False)
 
 
 @pytest.fixture(scope="module")
-def setup3() -> LRExperimentSetup:
-    return LRExperimentSetup.build(3, random_seeds=(1,))
+def setup3() -> ExperimentSetup:
+    return get_model("lr").build(3, random_seeds=(1,))
 
 
 class TestSeedDerivation:
@@ -113,7 +113,7 @@ class TestWorkerCountInvariance:
     def test_lehmann_rabin_byte_identical(self, setup3):
         statement = lr.leaf_statements()["A.14"]
         reports = [
-            check_lr_statement(
+            check_statement(
                 statement, setup3, seed=5, samples_per_pair=12,
                 random_starts=2, max_steps=200, workers=workers,
             )
@@ -125,24 +125,11 @@ class TestWorkerCountInvariance:
         ]
         assert dumps[0] == dumps[1]
 
-    def test_rng_root_is_deterministic_too(self, coin_walk):
-        statement = ArrowStatement(START, GOAL, 0, Fraction(1, 2), "all")
-
-        def run(workers):
-            return check_arrow_by_sampling(
-                coin_walk, statement,
-                [("first", FirstEnabledAdversary())], ["start"], zero_time,
-                random.Random(3), samples_per_pair=40, max_steps=300,
-                workers=workers,
-            )
-
-        assert run(1).to_dict() == run(4).to_dict()
-
     def test_added_pairs_leave_existing_streams_alone(self, setup3):
         statement = lr.leaf_statements()["A.14"]
 
         def pair_dicts(random_starts):
-            report = check_lr_statement(
+            report = check_statement(
                 statement, setup3, seed=5, samples_per_pair=10,
                 random_starts=random_starts, max_steps=200,
             )
@@ -207,7 +194,7 @@ class TestObsMerge:
     def run_recorded(self, setup3, workers):
         statement = lr.leaf_statements()["A.14"]
         with obs.recording() as registry:
-            check_lr_statement(
+            check_statement(
                 statement, setup3, seed=5, samples_per_pair=10,
                 random_starts=1, max_steps=200, workers=workers,
             )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from scipy import stats as scipy_stats
@@ -10,19 +11,14 @@ from scipy import stats as scipy_stats
 from repro.errors import VerificationError
 from repro.probability.stats import (
     BernoulliSummary,
-    MeanSummary,
     _binomial_cdf,
     _cp_lower,
     _cp_upper,
-    _normal_quantile,
     clopper_pearson_lower,
     clopper_pearson_upper,
-    hoeffding_lower_bound,
-    hoeffding_upper_bound,
-    refutes_lower_bound,
-    supports_lower_bound,
-    wilson_interval,
 )
+from repro.proofs.statements import ArrowStatement, StateClass
+from repro.proofs.verifier import ArrowCheckReport, PairCheck
 
 
 # ----------------------------------------------------------------------
@@ -136,54 +132,6 @@ class TestBernoulliSummary:
         with pytest.raises(VerificationError):
             BernoulliSummary(-1, 10)
 
-    def test_from_outcomes(self):
-        summary = BernoulliSummary.from_outcomes([True, False, True, True])
-        assert summary.successes == 3
-        assert summary.trials == 4
-
-
-class TestHoeffding:
-    def test_lower_below_estimate(self):
-        summary = BernoulliSummary(70, 100)
-        assert hoeffding_lower_bound(summary) < summary.estimate
-
-    def test_upper_above_estimate(self):
-        summary = BernoulliSummary(70, 100)
-        assert hoeffding_upper_bound(summary) > summary.estimate
-
-    def test_lower_clamped_at_zero(self):
-        assert hoeffding_lower_bound(BernoulliSummary(1, 100)) == 0.0
-
-    def test_upper_clamped_at_one(self):
-        assert hoeffding_upper_bound(BernoulliSummary(99, 100)) == 1.0
-
-    def test_slack_shrinks_with_samples(self):
-        small = BernoulliSummary(50, 100)
-        large = BernoulliSummary(5000, 10000)
-        assert (small.estimate - hoeffding_lower_bound(small)) > (
-            large.estimate - hoeffding_lower_bound(large)
-        )
-
-    def test_invalid_confidence_rejected(self):
-        with pytest.raises(VerificationError):
-            hoeffding_lower_bound(BernoulliSummary(1, 2), confidence=1.0)
-
-
-class TestWilson:
-    def test_interval_brackets_estimate(self):
-        summary = BernoulliSummary(40, 100)
-        low, high = wilson_interval(summary)
-        assert low < summary.estimate < high
-
-    def test_interval_within_unit(self):
-        low, high = wilson_interval(BernoulliSummary(0, 10))
-        assert 0.0 <= low <= high <= 1.0
-
-    def test_tighter_than_hoeffding_midrange(self):
-        summary = BernoulliSummary(500, 1000)
-        low, _ = wilson_interval(summary, confidence=0.99)
-        assert low >= hoeffding_lower_bound(summary, confidence=0.99)
-
 
 class TestClopperPearson:
     def test_zero_successes_lower_is_zero(self):
@@ -278,67 +226,34 @@ class TestClopperPearsonMemo:
 
 
 class TestDecisions:
+    """A report's verdict reads the Clopper-Pearson bounds of its pairs."""
+
+    @staticmethod
+    def report(successes, trials, claimed, confidence=0.99):
+        anywhere = StateClass("Any", lambda s: True)
+        statement = ArrowStatement(anywhere, anywhere, 0, claimed, "all")
+        check = PairCheck(
+            "adv", "s", BernoulliSummary(successes, trials), truncated=0
+        )
+        return ArrowCheckReport(statement, (check,), confidence)
+
     def test_refutes_clearly_false_claim(self):
         # 5/1000 successes refutes "probability >= 1/2".
-        assert refutes_lower_bound(BernoulliSummary(5, 1000), 0.5)
+        assert self.report(5, 1000, Fraction(1, 2)).refuted
 
     def test_does_not_refute_consistent_claim(self):
-        assert not refutes_lower_bound(BernoulliSummary(130, 1000), 0.125)
+        assert not self.report(130, 1000, Fraction(1, 8)).refuted
 
     def test_supports_clearly_true_claim(self):
-        assert supports_lower_bound(BernoulliSummary(900, 1000), 0.5)
+        assert self.report(900, 1000, Fraction(1, 2)).supported
 
     def test_support_is_stronger_than_not_refuted(self):
-        summary = BernoulliSummary(55, 100)
-        assert not refutes_lower_bound(summary, 0.5)
-        assert not supports_lower_bound(summary, 0.5)
-
-
-class TestMeanSummary:
-    def test_from_values(self):
-        summary = MeanSummary.from_values([1.0, 2.0, 3.0])
-        assert summary.mean == 2.0
-        assert summary.minimum == 1.0
-        assert summary.maximum == 3.0
-        assert summary.count == 3
-
-    def test_sample_variance(self):
-        summary = MeanSummary.from_values([1.0, 3.0])
-        assert summary.variance == 2.0
-
-    def test_single_value_variance_zero(self):
-        assert MeanSummary.from_values([5.0]).variance == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(VerificationError):
-            MeanSummary.from_values([])
-
-    def test_hoeffding_mean_upper_above_mean(self):
-        summary = MeanSummary.from_values([10.0] * 50)
-        assert summary.hoeffding_mean_upper(value_range=63.0) > 10.0
-
-    def test_hoeffding_mean_upper_rejects_bad_range(self):
-        summary = MeanSummary.from_values([1.0, 2.0])
-        with pytest.raises(VerificationError):
-            summary.hoeffding_mean_upper(value_range=0.0)
+        report = self.report(55, 100, Fraction(1, 2))
+        assert not report.refuted
+        assert not report.supported
 
 
 class TestNumericHelpers:
-    def test_normal_quantile_median(self):
-        assert abs(_normal_quantile(0.5)) < 1e-9
-
-    def test_normal_quantile_975(self):
-        assert math.isclose(_normal_quantile(0.975), 1.959964, abs_tol=1e-4)
-
-    def test_normal_quantile_tails(self):
-        assert math.isclose(
-            _normal_quantile(0.001), scipy_stats.norm.ppf(0.001), abs_tol=1e-4
-        )
-
-    def test_normal_quantile_rejects_boundary(self):
-        with pytest.raises(VerificationError):
-            _normal_quantile(0.0)
-
     @pytest.mark.parametrize("k,n,p", [(3, 10, 0.3), (0, 5, 0.9), (7, 8, 0.5)])
     def test_binomial_cdf_matches_scipy(self, k, n, p):
         assert math.isclose(

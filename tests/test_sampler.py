@@ -26,11 +26,7 @@ from repro.events.reach import (
     ReachWithinTime,
     step_counting_time,
 )
-from repro.execution.sampler import (
-    sample_event,
-    sample_time_until,
-    trim_fragment,
-)
+from repro.execution.sampler import sample_event, sample_time_until
 
 
 def initial(state):
@@ -243,8 +239,3 @@ class TestSampleTimeUntil:
                 lambda s: False, self.step_time, random.Random(0), -2,
             )
 
-
-class TestTrim:
-    def test_trim_restarts_at_last_state(self):
-        fragment = initial("a").extend("x", "b").extend("y", "c")
-        assert trim_fragment(fragment) == initial("c")

@@ -21,12 +21,13 @@ import pytest
 from repro import obs
 from repro.adversary.deterministic import FirstEnabledAdversary
 from repro.algorithms import lehmann_rabin as lr
-from repro.analysis.montecarlo import LRExperimentSetup, check_lr_statement
+from repro.analysis.montecarlo import check_statement
 from repro.cli import main
 from repro.contracts import OFF_CONFIG, STRICT, WARN, GuardConfig
 from repro.contracts import guards as guards_module
 from repro.corpus.cases import broken_automaton
 from repro.errors import StateBudgetExceeded, VerificationError
+from repro.models import ExperimentSetup, get_model
 from repro.service import JobSpec
 from repro.statespace import (
     BatchedEngine,
@@ -48,8 +49,8 @@ ENGINES = ("tree", "batched", "auto")
 
 
 @pytest.fixture(scope="module")
-def setup3() -> LRExperimentSetup:
-    return LRExperimentSetup.build(3, random_seeds=(1,))
+def setup3() -> ExperimentSetup:
+    return get_model("lr").build(3, random_seeds=(1,))
 
 
 @pytest.fixture(scope="module")
@@ -407,7 +408,7 @@ class TestReportEquivalence:
     @pytest.mark.parametrize("seed", (0, 11))
     def test_check_reports_identical(self, setup3, statement, seed):
         reports = {
-            engine: check_lr_statement(
+            engine: check_statement(
                 statement, setup3, seed=seed,
                 samples_per_pair=SAMPLES, random_starts=2, engine=engine,
             )

@@ -12,7 +12,6 @@ from repro.adversary.deterministic import FirstEnabledAdversary
 from repro.adversary.search import (
     HashedRandomRoundPolicy,
     fragment_digest,
-    seeded_policies,
 )
 from repro.adversary.unit_time import (
     ADVANCE_TIME,
@@ -236,8 +235,8 @@ class TestHashedRandomPolicy:
         automaton, view = ring3
         start = lr.canonical_states(3)["contended"]
         choices = set()
-        for policy in seeded_policies(8):
-            adversary = RoundBasedAdversary(view, policy)
+        for seed in range(8):
+            adversary = RoundBasedAdversary(view, HashedRandomRoundPolicy(seed))
             step = adversary.choose(automaton, initial(start))
             choices.add(view.process_of(step.action))
         assert len(choices) > 1

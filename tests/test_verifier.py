@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -48,7 +47,7 @@ class TestSamplingCheck:
             [("first", FirstEnabledAdversary())],
             ["start"],
             zero_time,
-            random.Random(0),
+            seed=0,
             samples_per_pair=150,
             max_steps=500,
         )
@@ -65,7 +64,7 @@ class TestSamplingCheck:
             [("first", FirstEnabledAdversary())],
             ["start"],
             zero_time,
-            random.Random(0),
+            seed=0,
             samples_per_pair=100,
             max_steps=50,
         )
@@ -82,7 +81,7 @@ class TestSamplingCheck:
                 [("first", FirstEnabledAdversary())],
                 ["start"],  # not in Goal
                 zero_time,
-                random.Random(0),
+                seed=0,
             )
 
     def test_empty_adversaries_rejected(self, coin_walk, start_class, goal_class):
@@ -90,7 +89,7 @@ class TestSamplingCheck:
         with pytest.raises(VerificationError):
             check_arrow_by_sampling(
                 coin_walk, statement, [], ["start"], zero_time,
-                random.Random(0),
+                seed=0,
             )
 
     def test_summary_line_mentions_verdict(
@@ -103,7 +102,7 @@ class TestSamplingCheck:
             [("first", FirstEnabledAdversary())],
             ["start"],
             zero_time,
-            random.Random(0),
+            seed=0,
             samples_per_pair=200,
             max_steps=500,
         )
@@ -157,7 +156,7 @@ class TestTimeToTarget:
             ["start"],
             lambda s: s == "goal",
             zero_time,
-            random.Random(0),
+            seed=0,
             samples=20,
             max_steps=5_000,
         )
@@ -174,7 +173,7 @@ class TestTimeToTarget:
             ["start"],
             lambda s: False,
             zero_time,
-            random.Random(0),
+            seed=0,
             samples=5,
             max_steps=20,
         )
@@ -186,5 +185,5 @@ class TestTimeToTarget:
         with pytest.raises(VerificationError):
             measure_time_to_target(
                 coin_walk, "first", FirstEnabledAdversary(), ["start"],
-                lambda s: True, zero_time, random.Random(0), samples=0,
+                lambda s: True, zero_time, seed=0, samples=0,
             )

@@ -81,6 +81,16 @@ real taxonomy subclass.  A taxonomy class without a corpus entry is an
 error class no engine is forced to classify identically — exactly the
 gap the differential corpus exists to close (``docs/corpus.md``).
 
+A dead-surface pass keeps ``src/`` to one public path per job: every
+public top-level ``def`` or ``class`` under ``src/repro/`` needs a
+reference from other ``src/`` code (an AST name, attribute or ``from``
+import outside its own body; ``__init__`` re-exports do not count), or
+a row in the index of DESIGN.md §3 saying why it stays without one.  An
+index row that names no such definition, or one that has since gained
+a caller, is flagged too, so the index stays exact.  Code that only
+tests reach is otherwise a second route to a job the library does
+another way (``ROADMAP.md`` item 7).
+
 Usage: ``python tools/lint.py [paths...]`` (defaults to src tests
 benchmarks tools). Exits nonzero on findings.
 """
@@ -95,6 +105,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "tools")
@@ -601,6 +612,101 @@ def corpus_sync_findings(
     return findings
 
 
+# -- dead public surface -----------------------------------------------
+
+_SRC_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+_DESIGN_DOC = Path(__file__).resolve().parent.parent / "DESIGN.md"
+
+#: An index row: its first cell names ``<path under src/repro>:<name>``.
+_INDEX_ROW = re.compile(r"^\|\s*`([\w/]+\.py):(\w+)`\s*\|")
+
+
+def _referenced_names(tree, is_init):
+    """Names, attributes and ``from`` imports under ``tree``, counted.
+
+    In an ``__init__`` module, imports are re-exports and do not count.
+    """
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom) and not is_init:
+            counts.update(alias.name for alias in node.names)
+    return counts
+
+
+def design_index(design_path=_DESIGN_DOC):
+    """``{(path, name): line}`` for the index rows of DESIGN.md §3."""
+    try:
+        lines = design_path.read_text().splitlines()
+    except OSError:
+        return {}
+    index = {}
+    in_section = False
+    for number, line in enumerate(lines, start=1):
+        if line.startswith("## "):
+            in_section = line.startswith("## 3.")
+            continue
+        match = _INDEX_ROW.match(line) if in_section else None
+        if match:
+            index[(match.group(1), match.group(2))] = number
+    return index
+
+
+def dead_surface_findings(src_root=_SRC_PACKAGE, design_path=_DESIGN_DOC):
+    """Public top-level definitions under ``src_root`` with no other
+    ``src/`` reference and no index row, plus stale index rows."""
+    modules = []
+    for path in sorted(src_root.rglob("*.py")):
+        try:
+            tree = ast.parse(path.read_text(), filename=str(path))
+        except SyntaxError:
+            continue  # the active checker reports it
+        modules.append((path, tree))
+    totals = Counter()
+    for path, tree in modules:
+        totals.update(_referenced_names(tree, path.name == "__init__.py"))
+    index = design_index(design_path)
+    findings = []
+    defined = set()
+    for path, tree in modules:
+        relative = path.relative_to(src_root).as_posix()
+        is_init = path.name == "__init__.py"
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or node.name.startswith("_"):
+                continue
+            key = (relative, node.name)
+            defined.add(key)
+            own = _referenced_names(node, is_init)[node.name]
+            live = totals[node.name] > own
+            if live and key in index:
+                findings.append(
+                    (design_path, index[key],
+                     f"index row {relative}:{node.name} is stale: it has a "
+                     f"caller under src/ now — drop the row")
+                )
+            elif not live and key not in index:
+                findings.append(
+                    (path, node.lineno,
+                     f"public {node.name!r} has no caller under src/ — "
+                     f"delete it, or add a DESIGN.md §3 index row saying "
+                     f"why it stays")
+                )
+    for key, line in sorted(index.items()):
+        if key not in defined:
+            findings.append(
+                (design_path, line,
+                 f"index row {key[0]}:{key[1]} names no public top-level "
+                 f"definition under src/repro/ — drop or correct the row")
+            )
+    return findings
+
+
 def run_ban_check(paths):
     """Always-on pass: forbid banned constructs in ``src/``."""
     findings = 0
@@ -615,7 +721,9 @@ def run_ban_check(paths):
             for line, message in undeclared_metric_sites(path, *catalog):
                 print(f"{path}:{line}: {message}")
                 findings += 1
-    for path, line, message in corpus_sync_findings():
+    for path, line, message in (
+        *corpus_sync_findings(), *dead_surface_findings()
+    ):
         print(f"{path}:{line}: {message}")
         findings += 1
     if findings:
