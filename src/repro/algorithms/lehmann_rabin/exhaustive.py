@@ -112,7 +112,7 @@ def _exhaustive_space(
 ) -> Optional[CompiledSpace]:
     """One interned space shared by every start of a sweep.
 
-    Compiled up to the clock from all region members at once; ``None``
+    Explored up to the clock from all region members at once; ``None``
     (falling back to rich-key memoisation) when the closure does not
     fit the default budget, so sweeps degrade instead of failing.
     """
@@ -121,7 +121,7 @@ def _exhaustive_space(
             automaton,
             members,
             untimed_spec(lr_time_of),
-        )
+        ).explore()
     except StateBudgetExceeded:
         return None
 
@@ -137,7 +137,7 @@ def _sweep(
 ) -> ExhaustiveResult:
     """The exact minimum of ``region --rounds--> target`` over the region.
 
-    The region's reachable space is compiled once and its interned ids
+    The region's reachable space is explored once and its interned ids
     key the memo table :func:`min_reach_over_starts` shares across all
     member states — neighbouring starts reuse almost every subproblem,
     which is what makes the full sweeps fast enough for the tier-1

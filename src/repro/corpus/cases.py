@@ -26,7 +26,7 @@ Two case shapes exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
@@ -154,14 +154,11 @@ def unknown_model_case() -> "CheckCase":
     )
 
 
-def herman_skimmed_case() -> "CheckCase":
-    """Herman's ring (n=3) with skimmed coin flips, via the registry.
+def herman_case() -> "CheckCase":
+    """Herman's ring (n=3) via the registry, from its canonical starts.
 
-    The first registered model defect that is not hand-built: the
-    automaton, adversary family, clock, and compile quotient all come
-    from ``get_model("herman")``, and the mutation is the generic
-    distribution skim — the Definition 2.1 guards must fire for a
-    registered model exactly as they do for the tiny model.
+    The automaton, adversary family (its fifo adversary), clock, and
+    compile quotient all come from ``get_model("herman")``.
     """
     from repro.models import get_model
 
@@ -175,9 +172,7 @@ def herman_skimmed_case() -> "CheckCase":
         "herman",
     )
     return CheckCase(
-        automaton_factory=lambda: skimmed_automaton(
-            model.build(3).automaton
-        ),
+        automaton_factory=lambda: model.build(3).automaton,
         adversaries_factory=lambda: model.build(3).adversaries[:1],
         statement=statement,
         start_states=tuple(
@@ -187,6 +182,21 @@ def herman_skimmed_case() -> "CheckCase":
         samples=4,
         max_steps=12,
         space_spec=model.build(3).space_spec(),
+    )
+
+
+def herman_skimmed_case() -> "CheckCase":
+    """Herman's ring (n=3) with skimmed coin flips, via the registry.
+
+    The first registered model defect that is not hand-built: the
+    mutation is the generic distribution skim — the Definition 2.1
+    guards must fire for a registered model exactly as they do for the
+    tiny model.
+    """
+    case = herman_case()
+    return replace(
+        case,
+        automaton_factory=lambda: skimmed_automaton(case.automaton_factory()),
     )
 
 

@@ -33,7 +33,7 @@ class needs an entry; every entry must name a real class).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Tuple, Union
 
@@ -163,11 +163,9 @@ def _quotient_flags_case() -> FlagsCase:
 
 
 def _budget_case() -> CheckCase:
-    return CheckCase(
-        automaton_factory=cases.tiny_automaton,
-        adversaries_factory=cases.first_enabled_family,
-        state_budget=2,
-    )
+    # Herman's three canonical starts fill the budget; the fifo
+    # table's first coin flip interns a fourth class while tabulating.
+    return replace(cases.herman_case(), state_budget=3)
 
 
 def _crash_case() -> CheckCase:
@@ -343,9 +341,11 @@ BUILTIN_ENTRIES: Tuple[CorpusEntry, ...] = (
     CorpusEntry(
         name="state-budget-blown",
         description=(
-            "A two-node budget for a three-state space: compiling "
-            "engines must raise StateBudgetExceeded in every guard "
-            "mode while tree (which never compiles) stays clean."
+            "A three-state budget for Herman's n=3 ring, which its "
+            "three starts fill: the fifo table's first coin flip must "
+            "raise StateBudgetExceeded in every guard mode on the "
+            "compiling engine while tree (which never compiles) stays "
+            "clean."
         ),
         expected_class="StateBudgetExceeded",
         expected_kind=None,

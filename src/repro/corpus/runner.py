@@ -11,10 +11,11 @@ classifications for every entry, and that the strict/warn/off outcomes
 match the entry's declared expectations.
 
 Warn-mode contract counters are *diagnostics*, not part of the
-cross-engine identity label: batched engines validate every reachable
-transition eagerly at compile time while the tree walk checks lazily,
-only what the adversary actually schedules — so a mutation parked on a
-never-scheduled transition is counted by the batched engines and
+cross-engine identity label: the batched engine validates every
+transition of the states its adversary tables reach, as it tabulates
+them, while the tree walk checks lazily, only what the adversary
+actually schedules — so a mutation parked on a never-scheduled
+transition of a tabulated state is counted by the batched engine and
 invisible to the tree, with byte-identical reports either way (the
 differential fuzzer found exactly this asymmetry on its first
 campaign).  Counters still back the ``flagged:<kind>`` expectation
@@ -69,10 +70,11 @@ class Classification:
     def label(self) -> str:
         """The canonical identity string two cells must share.
 
-        ``flagged`` is deliberately excluded: warn-counter coverage is
-        eager on batched engines and lazy on the tree walk, so the
-        flagged-kind set is an engine diagnostic, not an observable the
-        identity contract ranges over (see the module docstring).
+        ``flagged`` is deliberately excluded: warn counters cover every
+        transition of a tabulated state on the batched engine and only
+        the scheduled steps on the tree walk, so the flagged-kind set
+        is an engine diagnostic, not an observable the identity
+        contract ranges over (see the module docstring).
         """
         return "|".join(
             (
@@ -220,7 +222,7 @@ def classify_flags(case: FlagsCase, *, mode: str) -> Classification:
                 case.spec_factory(),
                 max_states=case.max_states,
                 guards=guards,
-            )
+            ).explore()
             values = space.flags(case.predicate, guards)
         except ContractViolation as error:
             return Classification(

@@ -149,9 +149,9 @@ METRICS: Dict[str, Tuple[str, str]] = {
     "statespace.flat_nodes": (
         "gauge", "product nodes flattened into batched CSR arrays"),
     "statespace.states": (
-        "gauge", "interned states in the compiled space"),
+        "gauge", "state classes the command's compiled space interned"),
     "statespace.transitions": (
-        "gauge", "tabulated transitions in the compiled space"),
+        "gauge", "transitions the command's compiled space tabulated"),
     "verifier.exact_pairs": (
         "counter", "(adversary, start) pairs checked exactly"),
     "verifier.pair_estimate": (

@@ -2,12 +2,15 @@
 
 Every verification engine in this library ultimately walks the same
 object graph: rich state objects, memoised transition lists, and
-``FiniteDistribution`` targets.  This module explores that graph *once*,
-interning states to dense integer ids and tabulating each state's
-enabled steps as index arrays — exact ``Fraction`` probabilities for the
-analytical engines plus precomputed float partial sums that replicate
+``FiniteDistribution`` targets.  This module interns that graph's
+states to dense integer ids and tabulates each state's enabled steps,
+once and only when asked, as index arrays — exact ``Fraction``
+probabilities for the analytical engines plus precomputed float partial
+sums that replicate
 :meth:`repro.probability.space.FiniteDistribution.sample` bit-for-bit
-for the Monte-Carlo engine.
+for the Monte-Carlo engine.  A sampled check asks only for the states
+its adversary tables reach; :meth:`CompiledSpace.explore` tabulates the
+whole reachable space for the callers that need it.
 
 Timed automata are compiled *up to the clock*: a :class:`SpaceSpec`
 supplies a quotient key (``LRState.untimed()`` for Lehmann-Rabin) under
@@ -16,7 +19,7 @@ the exact time advance of that outcome.  Samplers then track elapsed
 time as a running ``Fraction`` instead of re-deriving it from state
 objects.
 
-Exploration is budgeted: exceeding ``max_states`` raises the typed
+Interning is budgeted: exceeding ``max_states`` raises the typed
 :class:`repro.errors.StateBudgetExceeded` so ``--engine batched`` can
 fail loudly while ``--engine auto`` falls back to the tree walk.
 """
@@ -24,12 +27,10 @@ fail loudly while ``--engine auto`` falls back to the tree walk.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (
     Callable,
-    Deque,
     Dict,
     Hashable,
     List,
@@ -45,10 +46,11 @@ from repro.contracts.config import GuardConfig
 from repro.contracts.guards import check_transition_distribution, report_violation
 from repro.errors import QuotientInvarianceError, StateBudgetExceeded
 
-#: Default cap on interned states per compile (and on product nodes per
-#: adversary table).  Chosen so the n<=4 Lehmann-Rabin rings compile in
-#: well under a second while the n>=5 rings trip ``auto`` into the tree
-#: walk instead of stalling.
+#: Default cap on the state classes one command's space interns (and
+#: on product nodes per adversary table).  Only what the adversary
+#: tables reach is interned: 6,467 classes for the n=4 composed check,
+#: whose full reachable space is 71,524.  At n=5 a product table blows
+#: the cap first, so ``auto`` walks the tree instead of stalling.
 DEFAULT_STATE_BUDGET = 200_000
 
 #: How many quotient classes the flags spot check probes (every member
@@ -137,56 +139,157 @@ class CompiledStep:
 
 
 class CompiledSpace:
-    """The interned reachable state space of one automaton.
+    """The interned state space of one automaton, tabulated on demand.
 
-    ``reps[i]`` is the representative (first-encountered) concrete state
-    of class ``i``; ``steps[i]`` tabulates its enabled steps in the
-    automaton's deterministic transition order.
+    ``reps[i]`` is the representative (first-interned) concrete state
+    of class ``i``.  ``steps[i]`` is ``None`` until :meth:`steps_of`
+    tabulates the class's enabled steps, in the automaton's
+    deterministic transition order, the first time a caller asks for
+    them; :meth:`explore` tabulates everything reachable.  Interning
+    honours ``max_states``, and with ``guards`` checking every
+    transition passes the Definition 2.1 distribution check as it is
+    tabulated.
     """
 
-    __slots__ = ("automaton", "spec", "reps", "steps", "_ids", "n_transitions")
+    __slots__ = (
+        "automaton",
+        "spec",
+        "max_states",
+        "guards",
+        "reps",
+        "steps",
+        "n_transitions",
+        "_ids",
+    )
 
     def __init__(
         self,
         automaton: ProbabilisticAutomaton,
         spec: SpaceSpec,
-        reps: List[object],
-        steps: List[Tuple[CompiledStep, ...]],
-        ids: Dict[Hashable, int],
-        n_transitions: int,
+        *,
+        max_states: int,
+        guards: Optional[GuardConfig],
     ):
         self.automaton = automaton
         self.spec = spec
-        self.reps = reps
-        self.steps = steps
-        self._ids = ids
-        self.n_transitions = n_transitions
+        self.max_states = max_states
+        self.guards = guards
+        self.reps: List[object] = []
+        self.steps: List[Optional[Tuple[CompiledStep, ...]]] = []
+        self.n_transitions = 0
+        self._ids: Dict[Hashable, int] = {}
 
     @property
     def n_states(self) -> int:
         """The number of interned state classes."""
         return len(self.reps)
 
+    def intern(self, state: object) -> int:
+        """The id of ``state``'s class, interning it when new.
+
+        Raises :class:`StateBudgetExceeded` rather than intern past
+        ``max_states`` classes.
+        """
+        spec = self.spec
+        if spec.canonical is not None:
+            state = spec.canonical(state)
+        state_key = spec.key(state)
+        found = self._ids.get(state_key)
+        if found is not None:
+            return found
+        reps = self.reps
+        if len(reps) >= self.max_states:
+            raise StateBudgetExceeded(
+                f"state-space compile exceeded its budget of "
+                f"{self.max_states} states; rerun with a larger "
+                f"--state-budget or --engine tree",
+                budget=self.max_states,
+                explored=len(reps),
+            )
+        new_id = len(reps)
+        self._ids[state_key] = new_id
+        reps.append(state)
+        self.steps.append(None)
+        return new_id
+
     def state_id(self, state: object) -> int:
-        """The interned id of ``state`` (KeyError when unreachable)."""
+        """The interned id of ``state`` (KeyError when not interned)."""
         spec = self.spec
         if spec.canonical is not None:
             state = spec.canonical(state)
         return self._ids[spec.key(state)]
 
-    def contains(self, state: object) -> bool:
-        """Was ``state`` (up to the quotient) reached during compile?"""
-        spec = self.spec
-        if spec.canonical is not None:
-            state = spec.canonical(state)
-        return spec.key(state) in self._ids
+    def steps_of(self, state_id: int) -> Tuple[CompiledStep, ...]:
+        """Class ``state_id``'s enabled steps, tabulated on first use.
+
+        Interns every outcome, so the budget can raise here; a raise
+        (or a strict-mode guard violation) leaves the class untabulated
+        and the next call retries it in full.
+        """
+        tabulated = self.steps[state_id]
+        if tabulated is not None:
+            return tabulated
+        guards = self.guards
+        checking = guards is not None and guards.checking
+        time_of = self.spec.time_of
+        intern = self.intern
+        rep = self.reps[state_id]
+        source_time = time_of(rep)
+        compiled: List[CompiledStep] = []
+        for transition in self.automaton.transitions(rep):
+            if checking:
+                check_transition_distribution(guards, transition, cache=False)
+            targets: List[int] = []
+            cum: List[float] = []
+            weights: List[Fraction] = []
+            deltas: List[Fraction] = []
+            running = 0.0
+            for point, weight in transition.target.items():
+                targets.append(intern(point))
+                running += float(weight)
+                cum.append(running)
+                weights.append(weight)
+                # Only time passage moves the clock; every other step
+                # hands its targets the source's clock object.
+                point_time = time_of(point)
+                deltas.append(
+                    _ZERO
+                    if point_time is source_time
+                    else point_time - source_time
+                )
+            compiled.append(
+                CompiledStep(
+                    transition=transition,
+                    action=transition.action,
+                    targets=tuple(targets),
+                    cum=tuple(cum),
+                    weights=tuple(weights),
+                    deltas=tuple(deltas),
+                )
+            )
+        tabulated = self.steps[state_id] = tuple(compiled)
+        self.n_transitions += len(tabulated)
+        return tabulated
+
+    def explore(self) -> "CompiledSpace":
+        """Tabulate every class reachable from the interned ones.
+
+        Visits ids in order, so from fresh roots this is the
+        breadth-first search over quotient classes; ids and reps
+        interned earlier keep their values.  Returns ``self``.
+        """
+        state_id = 0
+        while state_id < len(self.reps):
+            self.steps_of(state_id)
+            state_id += 1
+        return self
 
     def flags(
         self,
         predicate: Callable[[object], bool],
         guards: Optional[GuardConfig] = None,
     ) -> List[bool]:
-        """``predicate`` evaluated once per class, indexed by id.
+        """``predicate`` evaluated once per interned class, indexed by id.
 
         The predicate must be invariant under the quotient key (for the
         shipped specs: must not read the clock) — the same contract the
@@ -212,8 +315,8 @@ class CompiledSpace:
                     report_violation(
                         guards,
                         QuotientInvarianceError(
-                            f"predicate {predicate!r} is not invariant "
-                            f"under the symmetry quotient: class "
+                            f"predicate {_name_of(predicate)} is not "
+                            f"invariant under the symmetry quotient: class "
                             f"representative {rep!r} maps to "
                             f"{values[index]} but class member "
                             f"{member!r} maps to {not values[index]}",
@@ -225,6 +328,13 @@ class CompiledSpace:
         return values
 
 
+def _name_of(predicate: Callable) -> str:
+    """``module.qualname`` of a callable: the same text in every run,
+    where its repr would carry a memory address."""
+    named = predicate if hasattr(predicate, "__qualname__") else type(predicate)
+    return f"{named.__module__}.{named.__qualname__}"
+
+
 def compile_space(
     automaton: ProbabilisticAutomaton,
     roots: Sequence[object],
@@ -233,93 +343,27 @@ def compile_space(
     max_states: int = DEFAULT_STATE_BUDGET,
     guards: Optional[GuardConfig] = None,
 ) -> CompiledSpace:
-    """Explore and intern the space reachable from ``roots``.
+    """A space over ``automaton`` with ``roots`` interned, in order.
 
-    Breadth-first over quotient classes; raises
-    :class:`StateBudgetExceeded` past ``max_states``.  When ``guards``
-    is checking, every tabulated transition passes the Definition 2.1
-    distribution check *here*, once, replacing the per-sample check the
-    tree walk performs (strict mode therefore raises at compile time).
-    Emits ``statespace.{states,transitions,compile_ms}`` metrics.
+    Nothing is tabulated yet:
+    :func:`~repro.statespace.product.compile_adversary` tabulates the
+    classes its product table reaches (:meth:`CompiledSpace.steps_of`),
+    and :meth:`CompiledSpace.explore` tabulates the whole reachable
+    space.  Either raises :class:`StateBudgetExceeded` past
+    ``max_states`` interned classes, as can the roots themselves.  When
+    ``guards`` is checking, every tabulated transition passes the
+    Definition 2.1 distribution check there, once, replacing the
+    per-sample check the tree walk performs (strict mode therefore
+    raises while tabulating).  Emits the ``statespace.compile_ms``
+    histogram.
     """
     started = time.perf_counter()
-    key_of = spec.key
-    time_of = spec.time_of
-    canonical = spec.canonical
-    checking = guards is not None and guards.checking
-    ids: Dict[Hashable, int] = {}
-    reps: List[object] = []
-    steps: List[Optional[Tuple[CompiledStep, ...]]] = []
-    frontier: Deque[int] = deque()
-
-    def intern(state: object) -> int:
-        if canonical is not None:
-            state = canonical(state)
-        state_key = key_of(state)
-        found = ids.get(state_key)
-        if found is not None:
-            return found
-        if len(reps) >= max_states:
-            raise StateBudgetExceeded(
-                f"state-space compile exceeded its budget of {max_states} "
-                f"states; rerun with a larger --state-budget or "
-                f"--engine tree",
-                budget=max_states,
-                explored=len(reps),
-            )
-        new_id = len(reps)
-        ids[state_key] = new_id
-        reps.append(state)
-        steps.append(None)
-        frontier.append(new_id)
-        return new_id
-
-    for root in roots:
-        intern(root)
-    n_transitions = 0
-    while frontier:
-        state_id = frontier.popleft()
-        rep = reps[state_id]
-        source_time = time_of(rep)
-        compiled: List[CompiledStep] = []
-        for transition in automaton.transitions(rep):
-            if checking:
-                check_transition_distribution(guards, transition, cache=False)
-            targets: List[int] = []
-            cum: List[float] = []
-            weights: List[Fraction] = []
-            deltas: List[Fraction] = []
-            running = 0.0
-            for point, weight in transition.target.items():
-                targets.append(intern(point))
-                running += float(weight)
-                cum.append(running)
-                weights.append(weight)
-                deltas.append(time_of(point) - source_time)
-            compiled.append(
-                CompiledStep(
-                    transition=transition,
-                    action=transition.action,
-                    targets=tuple(targets),
-                    cum=tuple(cum),
-                    weights=tuple(weights),
-                    deltas=tuple(deltas),
-                )
-            )
-        steps[state_id] = tuple(compiled)
-        n_transitions += len(compiled)
-
     space = CompiledSpace(
-        automaton=automaton,
-        spec=spec,
-        reps=reps,
-        steps=[tabulated if tabulated is not None else () for tabulated in steps],
-        ids=ids,
-        n_transitions=n_transitions,
+        automaton, spec, max_states=max_states, guards=guards
     )
+    for root in roots:
+        space.intern(root)
     if obs.enabled():
-        obs.gauge("statespace.states", space.n_states)
-        obs.gauge("statespace.transitions", n_transitions)
         obs.observe(
             "statespace.compile_ms", (time.perf_counter() - started) * 1000.0
         )

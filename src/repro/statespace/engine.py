@@ -532,15 +532,16 @@ def compile_scope() -> Iterator[None]:
     """Let the checks of one command share a compiled space.
 
     Inside the block, :func:`build_engine` reuses the space of the
-    previous check when the automaton is the same object, the spec,
-    guard config and budget are equal, and every start state is
-    already interned; that space holds everything a fresh compile from
-    these starts would intern, so no outcome changes.  Each compile
-    runs with the cyclic collector paused and, once it succeeds, is
-    frozen out of later collections.  The scope holds at most one
-    space, and nothing outlives the block: not the space, not the
-    freeze, not the guard layer's validated-transition cache
-    (``docs/statespace.md``, "Compile once per command").
+    previous check when the automaton is the same object and the spec,
+    guard config and budget are equal; the check's adversary tables
+    intern its starts into that space and tabulate what they reach, so
+    the space grows and no outcome changes.  Each check's compile block
+    (space, tables, flags) runs with the cyclic collector paused and,
+    once it succeeds, is frozen out of later collections; a block that
+    fails leaves the scope empty.  The scope holds at most one space,
+    and nothing outlives the block: not the space, not the freeze, not
+    the guard layer's validated-transition cache (``docs/statespace.md``,
+    "Compile once per command").
     """
     global _scope
     outer = _scope
@@ -554,6 +555,36 @@ def compile_scope() -> Iterator[None]:
         forget_validated_transitions()
 
 
+@contextmanager
+def _compiling() -> Iterator[None]:
+    """One check's compile block, run outside the cyclic collector.
+
+    Inside a scope the block runs with the collector paused: the space,
+    tables and flags form a large acyclic heap that reference counting
+    alone frees, which full collections would only re-scan.  A block
+    that succeeds is then ``gc.freeze()``d; one that raises freezes
+    nothing and drops the scope's space, so reference counting frees a
+    partial space as the error is handled.
+    """
+    scope = _scope
+    if scope is None:
+        yield
+        return
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    except BaseException:
+        scope.key = scope.space = None
+        raise
+    else:
+        gc.freeze()
+        scope.froze = True
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def _space_for(
     automaton: ProbabilisticAutomaton,
     starts: Tuple[object, ...],
@@ -561,7 +592,7 @@ def _space_for(
     budget: int,
     guards: Optional[GuardConfig],
 ) -> CompiledSpace:
-    """The command's space when it covers ``starts``, else a compile."""
+    """The command's space when the key matches, else a compile."""
     scope = _scope
     if scope is None:
         return compile_space(
@@ -569,29 +600,14 @@ def _space_for(
         )
     key = (spec, guards, budget)
     held = scope.space
-    if (
-        held is not None
-        and held.automaton is automaton
-        and scope.key == key
-        and all(held.contains(start) for start in starts)
-    ):
+    if held is not None and held.automaton is automaton and scope.key == key:
         obs.incr("statespace.compile_reuses")
         return held
     # Drop it first, so a miss never holds two spaces at once.
     scope.key = scope.space = None
-    # The compile builds a large acyclic heap that reference counting
-    # alone frees; full collections would only re-scan it.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        space = compile_space(
-            automaton, starts, spec, max_states=budget, guards=guards
-        )
-        gc.freeze()
-    finally:
-        if collecting:
-            gc.enable()
-    scope.froze = True
+    space = compile_space(
+        automaton, starts, spec, max_states=budget, guards=guards
+    )
     scope.key, scope.space = key, space
     return space
 
@@ -623,14 +639,16 @@ def build_engine(
       budget and guards permit, else silently use the tree walk.
 
     Inside :func:`compile_scope` the space comes from the previous
-    check when it covers this check's starts.
+    check when the key matches, and grows.  The space tabulates only
+    the states the adversary tables reach, and nothing tabulates once
+    this returns (forked workers share the space read-only).
 
-    A strict-mode :class:`ContractViolation` raised *during compile*
-    (including a quotient-invariance violation from the target-flag
-    spot check) always falls back to the tree walk, which re-detects
-    the identical violation per pair and quarantines it exactly as it
-    always has — keeping strict-mode reports byte-identical across
-    engines even on broken models.
+    A strict-mode :class:`ContractViolation` raised while tabulating
+    sends only the adversaries that reach it to the tree walk; one
+    raised by the target-flag quotient spot check sends the whole
+    check.  The tree walk re-detects the identical violation per pair
+    and quarantines it exactly as it always has — keeping strict-mode
+    reports byte-identical across engines even on broken models.
     """
     resolve_engine_name(engine)
     resolve_state_budget(state_budget)
@@ -664,7 +682,7 @@ def build_engine(
             engine=engine,
             budget=budget,
             adversaries=len(tree.adversaries),
-        ):
+        ), _compiling():
             space = _space_for(
                 automaton,
                 tree.start_states,
@@ -678,6 +696,9 @@ def build_engine(
                 )
                 for _, adversary in tree.adversaries
             )
+            if obs.enabled():
+                obs.gauge("statespace.states", space.n_states)
+                obs.gauge("statespace.transitions", space.n_transitions)
             # Inside the try: the quotient-invariance spot check may
             # raise in strict mode, and the tree fallback below must
             # cover it like any other compile-time violation.

@@ -82,12 +82,16 @@ def compile_adversary(
 ) -> Optional[AdversaryTable]:
     """Tabulate ``adversary`` over ``space``, or ``None`` if impossible.
 
-    Returns ``None`` for adversaries outside the compilable class
-    (non-round-based, history-dependent policies) and for adversaries
-    whose policy raises while being tabulated — the tree walk then
-    reproduces the identical raise (or quarantine) lazily at sample
-    time.  Budget overruns raise :class:`StateBudgetExceeded` like the
-    space compile itself.
+    Interns ``starts`` into ``space`` and tabulates the space's
+    classes as the product reaches them (:meth:`CompiledSpace.steps_of`),
+    so a space holds only what its tables need.  Returns ``None`` for
+    adversaries outside the compilable class (non-round-based,
+    history-dependent policies) and for adversaries whose policy raises,
+    or whose reached steps violate a strict guard, while being
+    tabulated — the tree walk then reproduces the identical raise (or
+    quarantine) lazily at sample time.  Budget overruns, of the space's
+    states or of ``max_nodes`` product nodes, raise
+    :class:`StateBudgetExceeded`.
     """
     if not isinstance(adversary, RoundBasedAdversary):
         return None
@@ -124,7 +128,7 @@ def compile_adversary(
     try:
         for start in starts:
             table.start_nodes.append(
-                intern((space.state_id(start), frozenset(), 0))
+                intern((space.intern(start), frozenset(), 0))
             )
         cursor = 0
         while cursor < len(order):
@@ -177,11 +181,11 @@ def compile_adversary(
             raise AdversaryError(f"policy returned an invalid move: {move!r}")
     except StateBudgetExceeded:
         raise
-    except (AdversaryError, ContractViolation, KeyError):
-        # The policy misbehaved (or scheduled a step the space never
-        # tabulated, surfacing as KeyError).  The tree walk hits the
-        # identical condition on its first sample of this adversary and
-        # reports it through the existing guard/quarantine machinery.
+    except (AdversaryError, ContractViolation):
+        # The policy misbehaved, or a step it reaches broke a strict
+        # guard while being tabulated.  The tree walk hits the identical
+        # condition on its first sample of this adversary and reports
+        # it through the existing guard/quarantine machinery.
         return None
     return table
 
@@ -203,7 +207,7 @@ def _append_choice(table, intern, step: CompiledStep, stepped, rounds) -> None:
 
 
 def _find_time_passage(space: CompiledSpace, state_id: int) -> CompiledStep:
-    for step in space.steps[state_id]:
+    for step in space.steps_of(state_id):
         if step.action == TIME_PASSAGE:
             return step
     raise AdversaryError(
@@ -216,7 +220,7 @@ def _match_step(
     space: CompiledSpace, state_id: int, move: Transition
 ) -> CompiledStep:
     """The compiled step carrying ``move`` (identity first, then ==)."""
-    tabulated = space.steps[state_id]
+    tabulated = space.steps_of(state_id)
     for step in tabulated:
         if step.transition is move:
             return step

@@ -369,10 +369,10 @@ class TestGuardChecks:
     def test_the_compile_checks_without_caching(self):
         contracts.forget_validated_transitions()
         automaton = tiny_automaton()
-        compile_space(automaton, ["a"], guards=STRICT)
+        compile_space(automaton, ["a"], guards=STRICT).explore()
         assert contracts.guards._validated_transitions == {}
         with pytest.raises(DistributionError):
-            compile_space(broken_automaton(), ["a"], guards=STRICT)
+            compile_space(broken_automaton(), ["a"], guards=STRICT).explore()
 
     def test_the_cache_lasts_one_compile_scope(self):
         automaton = tiny_automaton()

@@ -61,18 +61,26 @@ class TestGoldenCounts:
     ):
         setup = herman.build(n)
         roots = list(herman.canonical_states(n).values())
-        plain = compile_space(setup.automaton, roots, setup.space_spec())
+        plain = compile_space(
+            setup.automaton, roots, setup.space_spec()
+        ).explore()
         assert (plain.n_states, plain.n_transitions) == (
             plain_states, plain_steps,
         )
-        sym = compile_space(setup.automaton, roots, herman.symmetry_spec(n))
+        sym = compile_space(
+            setup.automaton, roots, herman.symmetry_spec(n)
+        ).explore()
         assert (sym.n_states, sym.n_transitions) == (sym_states, sym_steps)
 
     def test_symmetry_quotient_shrinks_the_space(self, herman):
         setup = herman.build(3)
         roots = list(herman.canonical_states(3).values())
-        plain = compile_space(setup.automaton, roots, setup.space_spec())
-        sym = compile_space(setup.automaton, roots, herman.symmetry_spec(3))
+        plain = compile_space(
+            setup.automaton, roots, setup.space_spec()
+        ).explore()
+        sym = compile_space(
+            setup.automaton, roots, herman.symmetry_spec(3)
+        ).explore()
         assert sym.n_states < plain.n_states
 
 

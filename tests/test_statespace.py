@@ -19,15 +19,28 @@ from fractions import Fraction
 import pytest
 
 from repro import obs
-from repro.adversary.deterministic import FirstEnabledAdversary
+from repro.adversary.unit_time import (
+    HALT,
+    MarkovRoundPolicy,
+    ProcessView,
+    RoundBasedAdversary,
+)
 from repro.algorithms import lehmann_rabin as lr
 from repro.analysis.montecarlo import check_statement
+from repro.automaton.signature import TIME_PASSAGE
 from repro.cli import main
 from repro.contracts import OFF_CONFIG, STRICT, WARN, GuardConfig
 from repro.contracts import guards as guards_module
-from repro.corpus.cases import broken_automaton
+from repro.corpus.cases import (
+    TINY_STATEMENT,
+    broken_automaton,
+    noninvariant_orbit_spec,
+    tiny_automaton,
+    zero_time,
+)
 from repro.errors import StateBudgetExceeded, VerificationError
 from repro.models import ExperimentSetup, get_model
+from repro.proofs.verifier import check_arrow_by_sampling
 from repro.service import JobSpec
 from repro.statespace import (
     BatchedEngine,
@@ -56,7 +69,9 @@ def setup3() -> ExperimentSetup:
 @pytest.fixture(scope="module")
 def space3(setup3):
     starts = tuple(lr.canonical_states(3).values())
-    return compile_space(setup3.automaton, starts, setup3.space_spec())
+    return compile_space(
+        setup3.automaton, starts, setup3.space_spec()
+    ).explore()
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +94,7 @@ def engine_for(setup3, statement, **kwargs):
 
 
 class TestGoldenCounts:
-    """The interned n=3 space is pinned exactly.
+    """The explored n=3 space is pinned exactly.
 
     These counts change only when the model itself changes — any drift
     here means the Lehmann-Rabin dynamics (or the untimed quotient)
@@ -103,9 +118,13 @@ class TestGoldenCounts:
 class TestCompileUnit:
     def test_budget_exceeded_raises(self, setup3):
         starts = tuple(lr.canonical_states(3).values())
+        space = compile_space(
+            setup3.automaton, starts, setup3.space_spec(), max_states=10
+        )
         with pytest.raises(StateBudgetExceeded):
-            compile_space(
-                setup3.automaton, starts, setup3.space_spec(), max_states=10
+            compile_adversary(
+                space, dict(setup3.adversaries)["fifo"], starts,
+                max_nodes=200_000,
             )
 
     def test_markov_adversary_compiles(self, setup3, space3):
@@ -197,12 +216,51 @@ def compiles(monkeypatch):
     return roots
 
 
+class _AlwaysReady(ProcessView):
+    """One process that never closes its round: every step is its."""
+
+    @property
+    def processes(self):
+        return ("p",)
+
+    def ready(self, state):
+        return frozenset(("p",))
+
+    def process_of(self, action):
+        return None
+
+    def time_of(self, state):
+        return Fraction(0)
+
+
+class _FirstEnabled(MarkovRoundPolicy):
+    """Takes the first enabled step; halts where none is."""
+
+    def markov_move(self, automaton, state, pending, view, rounds):
+        enabled = automaton.transitions(state)
+        return enabled[0] if enabled else HALT
+
+
+def _first_enabled():
+    """A first-enabled adversary that tabulates, on untimed automata."""
+    return RoundBasedAdversary(_AlwaysReady(), _FirstEnabled())
+
+
 def _chain_engine(automaton, starts, engine="batched", **kwargs):
     return build_engine(
-        automaton, [("first", FirstEnabledAdversary())], starts,
+        automaton, [("first", _first_enabled())], starts,
         lambda state: state == 3, lambda state: Fraction(0), None, 10,
         engine=engine, **kwargs,
     )
+
+
+def _statespace_rows(trace_out):
+    """``repro trace`` metric rows named ``statespace.*``, by name."""
+    return {
+        line.split()[0]: line.split()[1:]
+        for line in trace_out.splitlines()
+        if line.startswith("statespace.")
+    }
 
 
 def _live_spaces():
@@ -252,15 +310,19 @@ class TestCompileScope:
             )
         assert len(compiles) == 3
 
-    def test_an_uncovered_start_compiles_from_its_own_roots(
+    def test_an_uncovered_start_grows_the_space(
         self, deterministic_chain, compiles
     ):
         with compile_scope():
-            _chain_engine(deterministic_chain, (1,))
-            _chain_engine(deterministic_chain, (2,))  # inside {1, 2, 3}
-            _chain_engine(deterministic_chain, (0,))  # 0 was never interned
-            _chain_engine(deterministic_chain, (1,))  # inside {0, ..., 3}
-        assert compiles == [(1,), (0,)]
+            space = _chain_engine(deterministic_chain, (1,)).tables[0].space
+            assert space.reps == [1, 2, 3]
+            _chain_engine(deterministic_chain, (2,))  # already interned
+            assert space.reps == [1, 2, 3]
+            grown = _chain_engine(deterministic_chain, (0,))  # a new root
+            assert grown.tables[0].space is space
+            assert space.reps == [1, 2, 3, 0]
+            assert grown.tables[0].node_state[0] == 3
+        assert compiles == [(1,)]
 
     def test_a_failed_compile_is_retried_and_not_kept(
         self, deterministic_chain, compiles
@@ -281,11 +343,7 @@ class TestCompileScope:
             "trace", "verify", "--model", "lr", "--n", "3",
             "--engine", "batched", "--samples", "4",
         ]) == 0
-        rows = {
-            line.split()[0]: line.split()[1:]
-            for line in capsys.readouterr().out.splitlines()
-            if line.startswith("statespace.")
-        }
+        rows = _statespace_rows(capsys.readouterr().out)
         assert rows["statespace.compile_reuses"] == ["5"]
         assert rows["statespace.compile_ms"][0] == "1"
 
@@ -318,21 +376,31 @@ class TestCompileCollector:
     def test_a_scoped_compile_runs_no_collection(
         self, setup3, statement, monkeypatch
     ):
+        # The space compiles its roots, and the adversary tables
+        # tabulate what they reach: both run with the collector paused.
         compiling, collecting, collections = [False], [], []
 
-        def paused(automaton, starts, *args, **kwargs):
-            compiling[0] = True
-            collecting.append(gc.isenabled())
-            try:
-                return compile_space(automaton, starts, *args, **kwargs)
-            finally:
-                compiling[0] = False
+        def paused(compile):
+            def run(*args, **kwargs):
+                compiling[0] = True
+                collecting.append(gc.isenabled())
+                try:
+                    return compile(*args, **kwargs)
+                finally:
+                    compiling[0] = False
+
+            return run
 
         def watch(phase, info):
             if phase == "start" and compiling[0]:
                 collections.append(info["generation"])
 
-        monkeypatch.setattr(engine_module, "compile_space", paused)
+        monkeypatch.setattr(
+            engine_module, "compile_space", paused(compile_space)
+        )
+        monkeypatch.setattr(
+            engine_module, "compile_adversary", paused(compile_adversary)
+        )
         gc.callbacks.append(watch)
         try:
             with compile_scope():
@@ -341,7 +409,7 @@ class TestCompileCollector:
                 assert gc.get_freeze_count() > 0
         finally:
             gc.callbacks.remove(watch)
-        assert collecting == [False]
+        assert collecting == [False] * (1 + len(setup3.adversaries))
         assert collections == []
         assert gc.get_freeze_count() == 0
         assert gc.isenabled()
@@ -389,17 +457,133 @@ class TestCompileCollector:
             gc.enable()
 
     def test_a_strict_violation_freezes_nothing(self):
+        # The quotient spot check fails the whole block; a violation
+        # while tabulating only sends its adversary to the tree walk.
         strict = GuardConfig(mode=STRICT).validate()
         with compile_scope():
             engine = build_engine(
-                broken_automaton(), [("first", FirstEnabledAdversary())],
+                tiny_automaton(), [("first", _first_enabled())],
                 ("a",), lambda state: state == "c",
                 lambda state: Fraction(0), None, 10,
-                engine="batched", guards=strict,
+                engine="batched", spec=noninvariant_orbit_spec(),
+                guards=strict,
             )
             assert type(engine) is TreeEngine
             assert gc.get_freeze_count() == 0
             assert gc.isenabled()
+            assert engine_module._scope.space is None
+
+
+class _Idle(MarkovRoundPolicy):
+    """Halts at once: its table tabulates nothing."""
+
+    def markov_move(self, automaton, state, pending, view, rounds):
+        return HALT
+
+
+class TestDemandDrivenCompile:
+    """A check tabulates only the classes its adversary tables reach;
+    :meth:`CompiledSpace.explore` still reaches the golden space."""
+
+    def test_only_what_the_tables_reach_is_tabulated(
+        self, setup3, statement
+    ):
+        engine = engine_for(setup3, statement, engine="batched")
+        tables = [table for table in engine.tables if table is not None]
+        space = tables[0].space
+        visited = {state for table in tables for state in table.node_state}
+        chosen = {
+            table.node_state[node]
+            for table in tables
+            for node, targets in enumerate(table.choice_targets)
+            if targets is not None
+        }
+        tabulated = {
+            state_id
+            for state_id, steps in enumerate(space.steps)
+            if steps is not None
+        }
+        assert chosen <= tabulated <= visited
+        assert space.n_states < 4338
+        reps = list(space.reps)
+        space.explore()
+        assert space.n_states == 4338
+        assert space.n_transitions == 18024
+        assert all(kept is rep for kept, rep in zip(space.reps, reps))
+        assert all(
+            space.state_id(rep) == state_id
+            for state_id, rep in enumerate(reps)
+        )
+
+    def test_deltas_are_the_clock_advance(self, setup3, space3):
+        time_of = setup3.space_spec().time_of
+        passages = 0
+        for state_id, rep in enumerate(space3.reps):
+            for step in space3.steps_of(state_id):
+                assert step.deltas == tuple(
+                    time_of(point) - time_of(rep)
+                    for point, _ in step.transition.target.items()
+                )
+                if step.action == TIME_PASSAGE:
+                    passages += 1
+                    assert set(step.deltas) == {1}
+        assert passages
+
+    def test_a_strict_violation_while_tabulating_is_per_adversary(self):
+        strict = GuardConfig(mode=STRICT).validate()
+        adversaries = [
+            ("first", _first_enabled()),
+            ("idle", RoundBasedAdversary(_AlwaysReady(), _Idle())),
+        ]
+        engine = build_engine(
+            broken_automaton(), adversaries, ("a",),
+            lambda state: state == "c", lambda state: Fraction(0), None, 10,
+            engine="batched", guards=strict,
+        )
+        assert type(engine) is BatchedEngine
+        assert engine.tables[0] is None  # reaches the broken step
+        assert engine.tables[1] is not None
+        reports = {
+            name: check_arrow_by_sampling(
+                broken_automaton(), TINY_STATEMENT, adversaries, ["a"],
+                zero_time, samples_per_pair=6, max_steps=10, seed=3,
+                guards=strict, engine=name,
+            ).to_dict()
+            for name in ("tree", "batched")
+        }
+        assert reports["batched"] == reports["tree"]
+        assert reports["tree"]["quarantined"]
+
+    def test_the_parents_space_size_still_admits_the_check(self, capsys):
+        argv = [
+            "check", "--prop", "composed", "--n", "3", "--seed", "5",
+            "--samples", "4", "--json", "--no-manifest",
+        ]
+        assert main(argv + ["--engine", "tree"]) == 0
+        tree = capsys.readouterr().out
+        assert main(
+            argv + ["--engine", "batched", "--state-budget", "4338"]
+        ) == 0
+        assert capsys.readouterr().out == tree
+
+    def test_trace_gauges_count_the_commands_space(
+        self, capsys, monkeypatch
+    ):
+        spaces = []
+
+        def keeping(*args, **kwargs):
+            spaces.append(compile_space(*args, **kwargs))
+            return spaces[-1]
+
+        monkeypatch.setattr(engine_module, "compile_space", keeping)
+        assert main([
+            "trace", "check", "--n", "3", "--engine", "batched",
+            "--samples", "2",
+        ]) == 0
+        rows = _statespace_rows(capsys.readouterr().out)
+        [space] = spaces
+        assert int(rows["statespace.states"][0]) == space.n_states < 4338
+        assert int(rows["statespace.transitions"][0]) == space.n_transitions
 
 
 class TestReportEquivalence:
@@ -433,6 +617,18 @@ class TestCliByteIdentity:
         ])
         capsys.readouterr()
         assert code == 2
+
+    def test_n4_composed_check_is_engine_independent(self, capsys):
+        argv = [
+            "check", "--model", "lr", "--n", "4", "--prop", "composed",
+            "--samples", "4", "--seed", "7", "--json", "--no-manifest",
+        ]
+        runs = {}
+        for engine in ENGINES:
+            code = main(argv + ["--engine", engine])
+            runs[engine] = (code, capsys.readouterr().out)
+        assert runs["tree"][1]
+        assert runs["batched"] == runs["tree"] == runs["auto"]
 
     def test_removed_compiled_engine_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as raised:
