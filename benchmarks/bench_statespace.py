@@ -1,22 +1,25 @@
 """Byte-identity and speed of the batched engine against the tree oracle.
 
-Three claims about ``--engine batched`` (``docs/statespace.md``), each
+Four claims about ``--engine batched`` (``docs/statespace.md``), each
 measured against ``--engine tree``, the reference walk of the live
 object graph:
 
 * **Equivalence** — the composed ``T --13--> C`` check produces a
   byte-identical report under ``tree``, ``batched`` and ``auto``, for
-  the full adversary family including the uncompilable hashed-random
-  members (which fall back to the tree walk per adversary).
+  the full adversary family including the untabulated hashed-random
+  members (which take the batched engine's history walk).
 * **End-to-end speedup** — on the n=3 ring, the batched engine
   completes the arrow check at least 2x faster than the tree walk once
   the sampling load amortises the one-off compile.  The timed workload
   restricts the family to its compilable (Markov round-policy) members
-  so the ratio measures the engine, not the fallback.
+  so the ratio measures the flat walk alone.
 * **Raw sampling loop** — on one (adversary, start) pair, the batched
-  walker (CSR arrays, chain compression, scaled-integer time, block
-  uniforms) draws the tree walk's exact (verdict, steps) stream at
-  least 50x faster.
+  flat walker (CSR arrays, chain compression, scaled-integer time,
+  block uniforms) draws the tree walk's exact (verdict, steps) stream
+  at least 50x faster.
+* **History walk** — on the ``hashed-1`` pair of the same check, the
+  batched engine's memoised execution tree, grown from scratch, draws
+  the tree walk's exact (verdict, steps) stream at least 5x faster.
 
 Skipped cleanly when the compile blows its state budget or the tree
 baseline finishes too fast to time reliably.
@@ -42,6 +45,8 @@ SPEEDUP_SAMPLES = 1000
 #: ``TREE_LOOP_SAMPLES`` of the stream the batched walker draws in full.
 TREE_LOOP_SAMPLES = 1_500
 BATCHED_LOOP_SAMPLES = 40_000
+#: Samples of the ``hashed-1`` pair that both engines draw in full.
+HISTORY_SAMPLES = 2_000
 
 
 def run_check(setup, engine, samples):
@@ -69,9 +74,9 @@ def test_batched_report_matches_tree(setup3):
 
 
 def test_batched_at_least_2x_faster():
-    # Only Markov round policies: the coin-peeking hashed-random
-    # adversaries always sample through the tree walk and would dilute
-    # the measured ratio with identical work on both sides.
+    # Only Markov round policies, so the ratio measures the flat walk;
+    # the coin-peeking hashed-random adversaries take the history walk,
+    # which test_history_walk_at_least_5x_tree times on its own.
     setup = get_model("lr").build(3, random_seeds=())
     run_check(setup, "tree", SAMPLES)  # warm transition caches
 
@@ -103,18 +108,24 @@ def test_batched_at_least_2x_faster():
     )
 
 
-def build_loop_engine(engine):
-    """One engine for the composed statement, n=3, Markov-only family."""
-    setup = get_model("lr").build(3, random_seeds=())
+def build_loop_engine(engine, hashed=False):
+    """One engine for the composed statement, n=3: the Markov-only
+    family, or with ``hashed`` the ``hashed-1`` adversary alone."""
+    setup = get_model("lr").build(3, random_seeds=(1,) if hashed else ())
     statement = lr.lehmann_rabin_proof().final_statement
     starts = tuple(
         state
         for state in lr.canonical_states(3).values()
         if statement.source.contains(state)
     )
+    adversaries = setup.adversaries
+    if hashed:
+        adversaries = tuple(
+            pair for pair in adversaries if pair[0] == "hashed-1"
+        )
     return build_engine(
         setup.automaton,
-        setup.adversaries,
+        adversaries,
         starts,
         statement.target.contains,
         lr.lr_time_of,
@@ -169,4 +180,35 @@ def test_batched_sampling_loop_at_least_50x_tree():
     assert speedup >= 50.0, (
         f"batched sampling loop {speedup:.1f}x the tree walk, "
         "below the required 50x"
+    )
+
+
+def test_history_walk_at_least_5x_tree():
+    tree = build_loop_engine("tree", hashed=True)
+    assert tree.adversaries[0][0] == "hashed-1"
+    drive(tree, 0, 100)  # warm the transition caches before timing
+    tree_rate, tree_stream = best_rate(tree, HISTORY_SAMPLES)
+    if HISTORY_SAMPLES / tree_rate < 0.5:
+        pytest.skip(
+            f"tree baseline finished in {HISTORY_SAMPLES / tree_rate:.3f}s"
+            " — too fast to time a 5x ratio reliably on this hardware"
+        )
+    runs = []
+    for _ in range(3):
+        # A fresh engine per run, so every run grows its tree anew.
+        batched = build_loop_engine("batched", hashed=True)
+        assert isinstance(batched, BatchedEngine)
+        assert batched.flat_tables == (None,)
+        runs.append(drive(batched, 1, HISTORY_SAMPLES))
+    rate = max(run_rate for run_rate, _ in runs)
+    assert runs[0][1] == tree_stream, (
+        "the history walk diverged from the tree walk"
+    )
+    speedup = rate / tree_rate
+    print(
+        f"\ntree: {tree_rate:,.0f} samples/s, history walk: "
+        f"{rate:,.0f} samples/s ({speedup:.1f}x)"
+    )
+    assert speedup >= 5.0, (
+        f"history walk {speedup:.1f}x the tree walk, below the required 5x"
     )

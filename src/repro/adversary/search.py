@@ -81,13 +81,18 @@ class HashedRandomRoundPolicy(RoundPolicy[State]):
     ) -> Move:
         if not pending:
             return ADVANCE_TIME
-        pick = fragment_digest(self._seed, fragment, extra="process")
-        process = pending[pick % len(pending)]
+        # A digest taken mod 1 is 0, so a lone candidate needs none.
+        process = pending[0]
+        if len(pending) > 1:
+            pick = fragment_digest(self._seed, fragment, extra="process")
+            process = pending[pick % len(pending)]
         steps = steps_of_process(automaton, fragment.lstate, view, process)
         if not steps:
             raise AdversaryError(
                 f"process {process!r} is pending but has no enabled steps"
             )
+        if len(steps) == 1:
+            return steps[0]
         which = fragment_digest(self._seed, fragment, extra="step")
         return steps[which % len(steps)]
 

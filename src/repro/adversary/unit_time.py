@@ -133,8 +133,8 @@ class MarkovRoundPolicy(RoundPolicy[State]):
 
     History-dependent policies (e.g. coin-peeking ones hashing the whole
     fragment) must stay plain :class:`RoundPolicy` subclasses; the
-    compiler detects them by type and the engine falls back to the tree
-    walk for those adversaries only.
+    compiler detects them by type and the batched engine samples those
+    adversaries only through its history walk.
     """
 
     #: True when the decision also reads the completed-round count.

@@ -150,8 +150,9 @@ def _generate_model_case(rng, model_name: str) -> dict:
 
 def _cycler_adversary() -> RoundRobinAdversary:
     """History-dependent (via the fragment length), hence uncompilable
-    by design: every engine falls back to the per-pair tree walk and
-    the differential harness checks the fallbacks agree."""
+    by design: the batched engine samples it through its per-pair
+    history walk, and the differential harness checks that walk agrees
+    with the tree walk."""
     return RoundRobinAdversary()
 
 

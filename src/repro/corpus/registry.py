@@ -419,8 +419,8 @@ BUILTIN_ENTRIES: Tuple[CorpusEntry, ...] = (
             "An adversary whose choose() raises RuntimeError inside the "
             "worker: the pool must surface it as TaskExecutionError, "
             "identically under every engine (the history-dependent "
-            "adversary is uncompilable, so all engines fall back to the "
-            "tree walk for that pair)."
+            "adversary is uncompilable, so the batched engine samples "
+            "that pair through its history walk)."
         ),
         expected_class="TaskExecutionError",
         expected_kind=None,

@@ -18,9 +18,11 @@ actually schedules — so a mutation parked on a never-scheduled
 transition of a tabulated state is counted by the batched engine and
 invisible to the tree, with byte-identical reports either way (the
 differential fuzzer found exactly this asymmetry on its first
-campaign).  Counters still back the ``flagged:<kind>`` expectation
-grammar, where the entry's reference engine is known to walk the
-mutated transition.
+campaign).  For an untabulated adversary the batched engine's history
+walk checks each scheduled step once per fragment, where the tree walk
+checks it at every visit, so it counts a violating step fewer times.
+Counters still back the ``flagged:<kind>`` expectation grammar, where
+the entry's reference engine is known to walk the mutated transition.
 """
 
 from __future__ import annotations

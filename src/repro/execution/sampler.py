@@ -7,15 +7,17 @@ Each sample threads an explicit :class:`random.Random`, so experiments
 are reproducible from their seeds.
 
 This module is the *tree engine* of the sampling layer: one walk
-grows one fragment at a time.  :func:`sample_event` runs it against
-any event schema; :func:`sample_time_until` reads the same walk under
+grows one fresh fragment per sample, a step at a time.
+:func:`sample_event` runs it against any event schema;
+:func:`sample_time_until` reads the same walk under
 :class:`~repro.events.reach.EventuallyReach` at its first hit.  The
-batched engine in :mod:`repro.statespace.engine` has one walk of its
-own over flattened interned tables, mirroring this one draw for draw
-and metric for metric, so both produce byte-identical reports; a
-change to the control flow here must be made there too (the
-cross-engine suite in ``tests/test_statespace.py`` pins the
-equivalence).
+batched engine in :mod:`repro.statespace.engine` has two walks of its
+own, one over flattened interned tables and one over a memoised tree
+of fragments for the adversaries without a table, each mirroring this
+one draw for draw and metric for metric, so all produce
+byte-identical reports; a change to the control flow here must be
+made in both (the cross-engine suites in ``tests/test_statespace.py``
+and ``tests/test_batched.py`` pin the equivalence).
 """
 
 from __future__ import annotations

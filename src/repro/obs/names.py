@@ -53,7 +53,9 @@ METRICS: Dict[str, Tuple[str, str]] = {
     "execution.step_cache_misses": (
         "counter", "execution-automaton step-cache misses"),
     "fragment.extensions": (
-        "counter", "execution-fragment extension steps"),
+        "counter",
+        "execution-fragment extension steps; under the batched engine, "
+        "the history-walk tree nodes created, not the steps walked"),
     "fuzz.cases": (
         "counter", "differential fuzz cases generated and diffed"),
     "fuzz.divergences": (

@@ -6,23 +6,26 @@ or ``time_to_target`` — and an :class:`Engine` bundles one strategy for
 all three:
 
 * :class:`TreeEngine` walks the live object graph exactly as the
-  library always has (fragments, memoised transitions, policy replay).
-  It is the reference oracle, and the only engine that runs
-  history-dependent (coin-peeking) adversaries.
-* :class:`BatchedEngine` walks the interned tables of
-  :mod:`repro.statespace.compile` / :mod:`repro.statespace.product`
-  flattened into CSR parallel arrays (:mod:`repro.statespace.arrays`),
-  drawing uniforms from ``rng.random()`` in blocks and fast-forwarding
-  memoised deterministic runs.  It falls back to an embedded tree
-  engine per adversary when that adversary could not be tabulated
-  (history-dependent policies).
+  library always has (fragments, memoised transitions, policy replay),
+  growing a fresh fragment per sample.  It is the reference oracle, and
+  the engine of ``--fuel`` and of exact trees of adversaries that did
+  not tabulate.
+* :class:`BatchedEngine` has two sampling walks.  The flat walk reads
+  the interned tables of :mod:`repro.statespace.compile` /
+  :mod:`repro.statespace.product` flattened into CSR parallel arrays
+  (:mod:`repro.statespace.arrays`), drawing uniforms from
+  ``rng.random()`` in blocks and fast-forwarding memoised deterministic
+  runs.  The history walk serves the adversaries that could not be
+  tabulated (history-dependent, e.g. coin-peeking, policies): it walks
+  the pair's execution automaton H(M, A, s) as a tree of fragments
+  grown on demand, asking the adversary once per fragment.
 
-Both engines consume the *identical* randomness per sample — one
-uniform draw per step, resolved against float partial sums accumulated
-exactly as ``FiniteDistribution.sample`` accumulates them; the batched
-engine merely fetches those same floats ahead of time — so reports are
-byte-identical whichever engine ran, for every seed, guard mode, and
-worker count.  The factory :func:`build_engine` implements the
+All walks consume the *identical* randomness per sample — one uniform
+draw per step, resolved against float partial sums accumulated exactly
+as ``FiniteDistribution.sample`` accumulates them; the flat walk merely
+fetches those same floats ahead of time — so reports are byte-identical
+whichever engine ran, for every seed, guard mode, and worker count.
+The factory :func:`build_engine` implements the
 ``--engine {tree,batched,auto}`` selection rules: ``batched``
 propagates :class:`~repro.errors.StateBudgetExceeded`, ``auto`` prefers
 the batched engine and silently falls back to the tree walk when the
@@ -46,12 +49,14 @@ from repro.contracts import (
     GuardConfig,
     forget_validated_transitions,
 )
+from repro.contracts.guards import check_chosen_step
 from repro.errors import (
     ContractViolation,
     StateBudgetExceeded,
     VerificationError,
 )
 from repro.events.reach import EventuallyReach, ReachWithinTime
+from repro.events.schema import EventSchema, EventStatus
 from repro.execution import sampler
 from repro.execution.automaton import ExecutionAutomaton
 from repro.execution.measure import EventBounds, event_probability_bounds
@@ -98,10 +103,10 @@ class Engine(abc.ABC):
     An engine is constructed for a specific (automaton, adversaries,
     start states, target) tuple, which it exposes as ``automaton``,
     ``adversaries`` (``(name, adversary)`` pairs) and ``start_states``;
-    the three operations below index into those sequences.  Each engine
-    has one sampling walk: ``sample`` reads its verdict, and
-    ``time_to_target`` runs it under plain reachability and reads the
-    elapsed time at its first hit.  Engines ride the fork-inherited task
+    the three operations below index into those sequences.  An engine
+    samples each pair through one walk: ``sample`` reads its verdict,
+    and ``time_to_target`` runs it under plain reachability and reads
+    the elapsed time at its first hit.  Engines ride the fork-inherited task
     contexts of :mod:`repro.parallel.backend`, so pooled workers reuse
     the parent's compiled tables and never recompile.
     """
@@ -210,6 +215,163 @@ class TreeEngine(Engine):
         return event_probability_bounds(execution, self._schema, max_steps)
 
 
+#: A history node's ``chosen`` until the adversary is first asked there.
+_UNASKED = object()
+
+
+class _HistoryNode:
+    """One fragment of H(M, A, s), as a sample first reached it.
+
+    ``status`` is the schema's classification of ``fragment``.  At the
+    first decision here the node keeps the adversary's ``chosen`` step
+    (``None``: it halts), the step's outcomes ``points`` and their float
+    partial sums ``cum``; ``children[i]`` is the node outcome ``i``
+    leads to, created when a sample first draws it.
+    """
+
+    __slots__ = ("fragment", "status", "chosen", "points", "cum", "children")
+
+    def __init__(self, fragment: ExecutionFragment, status: EventStatus):
+        self.fragment = fragment
+        self.status = status
+        self.chosen = _UNASKED
+        self.points: Tuple[object, ...] = ()
+        self.cum: Tuple[float, ...] = ()
+        self.children: List[Optional[_HistoryNode]] = []
+
+    def settle(self, chosen) -> None:
+        """Keep the adversary's decision and its target's partial sums.
+
+        The sums accumulate left to right over the target's items, as
+        ``FiniteDistribution.sample`` accumulates them; an empty target
+        keeps one ``None`` outcome, which is what its ``sample`` returns.
+        """
+        if chosen is not None:
+            points: List[object] = []
+            cum: List[float] = []
+            running = 0.0
+            for point, weight in chosen.target.items():
+                running += float(weight)
+                points.append(point)
+                cum.append(running)
+            if not points:
+                points.append(None)
+                cum.append(running)
+            self.points = tuple(points)
+            self.cum = tuple(cum)
+            self.children = [None] * len(points)
+        self.chosen = chosen
+
+
+class _HistoryTree:
+    """One pair's execution automaton under one schema, grown on demand.
+
+    The memoised form of :func:`repro.execution.sampler._walk`: a
+    sample descends from the root drawing one uniform per step, and
+    only a fragment no earlier sample reached costs an ``extend``, a
+    ``classify_step`` and, at its first decision, an adversary
+    ``choose`` and ``check_chosen_step``.  Adversaries are deterministic
+    (Definition 2.2), so a fragment's decision never changes.
+    """
+
+    __slots__ = (
+        "key", "automaton", "adversary", "name", "schema", "config",
+        "max_steps", "root",
+    )
+
+    def __init__(
+        self,
+        key: tuple,
+        automaton: ProbabilisticAutomaton,
+        adversary,
+        start: object,
+        schema: EventSchema,
+        guards: Optional[GuardConfig],
+        max_steps: int,
+    ):
+        self.key = key
+        self.automaton = automaton
+        self.adversary = adversary
+        self.name = getattr(adversary, "name", "")
+        self.schema = schema
+        self.config = guards if guards is not None else OFF_CONFIG
+        self.max_steps = max_steps
+        fragment = ExecutionFragment.initial(start)
+        self.root = _HistoryNode(fragment, schema.classify(fragment))
+
+    def walk(self, rng) -> SampleResult:
+        """One sample, decided in the tree walk's order per step.
+
+        Classify, horizon, adversary decision, guard check, one draw,
+        with the ``adversary.*`` totals the tree walk records (also up
+        to a raise).
+        """
+        automaton = self.automaton
+        adversary = self.adversary
+        schema = self.schema
+        config = self.config
+        checking = config.checking
+        max_steps = self.max_steps
+        random = rng.random
+        accept = EventStatus.ACCEPT
+        reject = EventStatus.REJECT
+        node = self.root
+        steps_taken = 0
+        decisions = 0
+        halts = 0
+        try:
+            while True:
+                status = node.status
+                if status is accept:
+                    return SampleResult(True, steps_taken, node.fragment)
+                if status is reject:
+                    return SampleResult(False, steps_taken, node.fragment)
+                if steps_taken == max_steps:
+                    return SampleResult(None, steps_taken, node.fragment)
+                chosen = node.chosen
+                if chosen is _UNASKED:
+                    chosen = adversary.choose(automaton, node.fragment)
+                    decisions += 1
+                    if checking and chosen is not None:
+                        check_chosen_step(
+                            config, automaton, node.fragment, chosen, self.name
+                        )
+                    node.settle(chosen)
+                else:
+                    decisions += 1
+                if chosen is None:
+                    halts += 1
+                    return SampleResult(
+                        schema.decide_maximal(node.fragment),
+                        steps_taken,
+                        node.fragment,
+                    )
+                threshold = random()
+                cum = node.cum
+                lo = 0
+                index = len(cum) - 1
+                while lo < index:
+                    if threshold < cum[lo]:
+                        index = lo
+                        break
+                    lo += 1
+                child = node.children[index]
+                if child is None:
+                    fragment = node.fragment.extend(
+                        chosen.action, node.points[index]
+                    )
+                    child = node.children[index] = _HistoryNode(
+                        fragment, schema.classify_step(fragment)
+                    )
+                node = child
+                steps_taken += 1
+        finally:
+            if decisions and obs.enabled():
+                obs.incr("adversary.decisions", decisions)
+                if halts:
+                    obs.incr("adversary.halts", halts)
+
+
 class BatchedEngine(Engine):
     """Flat-array evaluation drawing uniforms in blocks.
 
@@ -226,10 +388,15 @@ class BatchedEngine(Engine):
     verdicts, step counts, elapsed times and metric totals are
     byte-identical to :class:`TreeEngine`.
 
-    Sources buffer *ahead* of the underlying python generator, which is
-    safe because each stream is private to one task and every sample of
-    a pair takes the same path: adversaries that did not tabulate
-    (``None`` in ``tables``) go through the embedded ``tree`` engine.
+    Adversaries that did not tabulate (``None`` in ``tables``) take the
+    history walk instead: a :class:`_HistoryTree` of the running pair,
+    which draws straight from the pair's ``random.Random``, one uniform
+    per step.  Sources buffer *ahead* of the generator, which is safe
+    because each stream is private to one task and every sample of a
+    pair takes the same walk.  Only the running pair's tree is held,
+    as only the latest stream's source is; forked workers grow their
+    own.  ``exact_reach`` of an untabulated adversary still runs the
+    embedded ``tree`` engine.
     """
 
     name = "batched"
@@ -265,6 +432,9 @@ class BatchedEngine(Engine):
             None if flat is None else flat.scale_bound(self._bound)
             for flat in self.flat_tables
         )
+        # Time-to-target reads the walk under plain reachability.
+        self._reach = EventuallyReach(tree.target)
+        self._history: Optional[_HistoryTree] = None
 
     @property
     def compiled_adversaries(self) -> int:
@@ -291,19 +461,45 @@ class BatchedEngine(Engine):
         self._last_source = source
         return source
 
+    def _history_for(
+        self, schema: EventSchema, adversary_index: int, start_index: int
+    ) -> _HistoryTree:
+        """The pair's history tree under ``schema``, kept between samples."""
+        key = (schema, adversary_index, start_index)
+        tree = self._history
+        if tree is not None and tree.key == key:
+            return tree
+        # Drop the last pair's tree first, so at most one is held.
+        self._history = None
+        if self.tree.max_steps < 0:
+            raise VerificationError("max_steps must be nonnegative")
+        tree = self._history = _HistoryTree(
+            key,
+            self.automaton,
+            self.adversaries[adversary_index][1],
+            self.start_states[start_index],
+            schema,
+            self.tree.guards,
+            self.tree.max_steps,
+        )
+        return tree
+
     def sample(
         self, adversary_index: int, start_index: int, rng
     ) -> SampleResult:
         flat = self.flat_tables[adversary_index]
         if flat is None:
-            return self.tree.sample(adversary_index, start_index, rng)
-        verdict, steps, _ = self._sample_flat(
-            flat,
-            flat.start_nodes[start_index],
-            rng,
-            self._ibounds[adversary_index],
-        )
-        result = SampleResult(verdict, steps, None)
+            result = self._history_for(
+                self.tree._schema, adversary_index, start_index
+            ).walk(rng)
+        else:
+            verdict, steps, _ = self._sample_flat(
+                flat,
+                flat.start_nodes[start_index],
+                rng,
+                self._ibounds[adversary_index],
+            )
+            result = SampleResult(verdict, steps, None)
         if obs.enabled():
             sampler._record_event_sample(result)
         return result
@@ -313,13 +509,25 @@ class BatchedEngine(Engine):
     ) -> Optional[Fraction]:
         flat = self.flat_tables[adversary_index]
         if flat is None:
-            return self.tree.time_to_target(adversary_index, start_index, rng)
-        verdict, steps, elapsed = self._sample_flat(
-            flat, flat.start_nodes[start_index], rng, None
-        )
-        # The scaled integer converts to the identical Fraction the
-        # tree walk's Fraction sums produce (Fraction(e, d) normalises).
-        result = Fraction(elapsed, flat.denominator) if verdict else None
+            walked = self._history_for(
+                self._reach, adversary_index, start_index
+            ).walk(rng)
+            steps = walked.steps
+            time_of = self.tree.time_of
+            result = (
+                time_of(walked.final.lstate)
+                - time_of(self.start_states[start_index])
+                if walked.verdict
+                else None
+            )
+        else:
+            verdict, steps, elapsed = self._sample_flat(
+                flat, flat.start_nodes[start_index], rng, None
+            )
+            # The scaled integer converts to the identical Fraction the
+            # tree walk's Fraction sums produce (Fraction(e, d)
+            # normalises).
+            result = Fraction(elapsed, flat.denominator) if verdict else None
         if obs.enabled():
             sampler._record_time_sample(result, steps)
         return result

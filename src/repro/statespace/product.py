@@ -13,10 +13,11 @@ re-running the policy.
 
 History-dependent adversaries (anything whose policy is not a
 ``MarkovRoundPolicy``, e.g. the coin-peeking hashed-random family) are
-reported as uncompilable by returning ``None``; the engine falls back to
-the tree walk for those adversaries only, which preserves byte-identical
+reported as uncompilable by returning ``None``; the batched engine
+samples those adversaries only through its history walk, a memoised
+tree of their execution fragments, which preserves byte-identical
 reports because every (adversary, start) pair's outcome is a pure
-function of its derived seed under either evaluation strategy.
+function of its derived seed under every walk.
 """
 
 from __future__ import annotations
@@ -88,10 +89,10 @@ def compile_adversary(
     adversaries outside the compilable class (non-round-based,
     history-dependent policies) and for adversaries whose policy raises,
     or whose reached steps violate a strict guard, while being
-    tabulated — the tree walk then reproduces the identical raise (or
-    quarantine) lazily at sample time.  Budget overruns, of the space's
-    states or of ``max_nodes`` product nodes, raise
-    :class:`StateBudgetExceeded`.
+    tabulated — the batched engine's history walk then reproduces the
+    identical raise (or quarantine) lazily at sample time.  Budget
+    overruns, of the space's states or of ``max_nodes`` product nodes,
+    raise :class:`StateBudgetExceeded`.
     """
     if not isinstance(adversary, RoundBasedAdversary):
         return None
@@ -183,9 +184,9 @@ def compile_adversary(
         raise
     except (AdversaryError, ContractViolation):
         # The policy misbehaved, or a step it reaches broke a strict
-        # guard while being tabulated.  The tree walk hits the identical
-        # condition on its first sample of this adversary and reports
-        # it through the existing guard/quarantine machinery.
+        # guard while being tabulated.  The history walk hits the
+        # identical condition on its first sample of this adversary and
+        # reports it through the existing guard/quarantine machinery.
         return None
     return table
 
@@ -231,7 +232,7 @@ def _match_step(
         # Two distinct enabled transitions compare equal: picking either
         # could disagree with the step the tree walk schedules, breaking
         # byte-identity.  Refuse to tabulate; compile_adversary returns
-        # None and the pair samples through the tree walk instead.
+        # None and the pair samples through the history walk instead.
         raise AdversaryError(
             f"policy scheduled {move.action!r}, which matches "
             f"{len(matched)} distinct-but-equal compiled steps of "

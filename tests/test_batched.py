@@ -7,22 +7,26 @@ Three concerns share these fixtures:
   ``_match_step``, the unchecked quotient-invariance of ``flags``);
 * the cross-engine byte-identity matrix — ``check`` / ``verify`` /
   ``expected-time`` stdout must be identical for
-  tree == batched == auto across workers x guards;
+  tree == batched == auto across workers x guards — and the batched
+  engine's history walk for the adversaries that do not tabulate;
 * the ring-rotation quotient: golden quotiented n=3 counts and the
   n=5 exact-reach feasibility smoke test.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.algorithms import lehmann_rabin as lr
 from repro.adversary.unit_time import (
     HALT,
@@ -46,6 +50,7 @@ from repro.statespace import (
     compile_adversary,
     compile_space,
 )
+from repro.statespace import engine as engine_module
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -204,39 +209,75 @@ class TestUniformSource:
         assert data[0] == reference[251]
 
 
+def _hashed4_engine(statement) -> BatchedEngine:
+    """The n=4 composed check's batched engine for the ``hashed-*``
+    adversaries alone; none tabulates, so every pair takes the history
+    walk."""
+    setup = get_model("lr").build(4)
+    hashed = replace(setup, adversaries=tuple(
+        (name, adversary)
+        for name, adversary in setup.adversaries
+        if name.startswith("hashed-")
+    ))
+    engine = build_for(hashed, statement, engine="batched")
+    assert len(engine.adversaries) == 3
+    assert engine.compiled_adversaries == 0
+    return engine
+
+
+@pytest.fixture(scope="module")
+def hashed4(statement) -> BatchedEngine:
+    return _hashed4_engine(statement)
+
+
 class TestBatchedByteIdentity:
     """Engine API level: batched == tree."""
 
-    def _engines(self, setup3, statement):
+    def _engines(self, setup3, statement, hashed4):
+        """``(tree, batched)``: the n=3 family, then n=4 ``hashed-*``."""
         batched = build_for(setup3, statement, engine="batched")
-        return batched.tree, batched
+        assert None in batched.flat_tables, "no n=3 adversary untabulated"
+        return [(batched.tree, batched), (hashed4.tree, hashed4)]
 
-    def test_sample_stream_identical(self, setup3, statement):
-        tree, batched = self._engines(setup3, statement)
-        for adversary_index in range(len(setup3.adversaries)):
-            streams = []
-            for engine in (tree, batched):
-                rng = rng_from_seed(31 + adversary_index)
-                streams.append([
-                    (result.verdict, result.steps)
-                    for result in (
-                        engine.sample(adversary_index, 0, rng)
-                        for _ in range(40)
-                    )
-                ])
-            assert streams[0] == streams[1]
+    def test_sample_stream_identical(self, setup3, statement, hashed4):
+        for tree, batched in self._engines(setup3, statement, hashed4):
+            for adversary_index in range(len(batched.adversaries)):
+                history = batched.flat_tables[adversary_index] is None
+                for start_index in range(len(batched.start_states)):
+                    streams = []
+                    for engine in (tree, batched):
+                        rng = rng_from_seed(
+                            31 + adversary_index + 10 * start_index
+                        )
+                        streams.append([
+                            (
+                                result.verdict,
+                                result.steps,
+                                result.final if history else None,
+                            )
+                            for result in (
+                                engine.sample(adversary_index, start_index, rng)
+                                for _ in range(40)
+                            )
+                        ])
+                    assert streams[0] == streams[1]
 
-    def test_time_stream_identical(self, setup3, statement):
-        tree, batched = self._engines(setup3, statement)
-        for adversary_index in range(len(setup3.adversaries)):
-            streams = []
-            for engine in (tree, batched):
-                rng = rng_from_seed(77 + adversary_index)
-                streams.append([
-                    engine.time_to_target(adversary_index, 0, rng)
-                    for _ in range(25)
-                ])
-            assert streams[0] == streams[1]
+    def test_time_stream_identical(self, setup3, statement, hashed4):
+        for tree, batched in self._engines(setup3, statement, hashed4):
+            for adversary_index in range(len(batched.adversaries)):
+                for start_index in range(len(batched.start_states)):
+                    streams = []
+                    for engine in (tree, batched):
+                        rng = rng_from_seed(
+                            77 + adversary_index + 10 * start_index
+                        )
+                        streams.append([
+                            engine.time_to_target(
+                                adversary_index, start_index, rng
+                            )
+                            for _ in range(25)
+                        ])
+                    assert streams[0] == streams[1]
 
     def test_finished_streams_are_released(self, setup3, statement):
         # Each task samples from its own generator and drops it; the
@@ -283,6 +324,50 @@ class TestBatchedByteIdentity:
                     cursor = flat.targets[lo]
                 assert cursor == flat.skip_to[node]
                 assert total == flat.skip_total[node]
+
+
+def _metric_totals(argv):
+    """The ``adversary.*`` and ``sampler.*`` counters ``main`` records."""
+    with obs.recording() as registry:
+        assert main(argv) == 0
+    return {
+        name: value
+        for name, value in registry.metrics.snapshot()["counters"].items()
+        if name.startswith(("adversary.", "sampler."))
+    }
+
+
+def _live_history_trees():
+    gc.collect()
+    return sum(
+        isinstance(o, engine_module._HistoryTree) for o in gc.get_objects()
+    )
+
+
+class TestHistoryWalk:
+    """Untabulated adversaries sample through one memoised tree per pair."""
+
+    def test_verify_records_the_tree_walks_totals(self, capsys):
+        totals = {
+            engine: _metric_totals([
+                "verify", "--model", "lr", "--n", "3", "--engine", engine,
+                "--samples", "4", "--workers", "1", "--no-manifest",
+            ])
+            for engine in ("tree", "batched")
+        }
+        capsys.readouterr()
+        assert totals["tree"]["adversary.decisions"] > 0
+        assert totals["batched"] == totals["tree"]
+
+    def test_sampling_several_pairs_holds_one_tree(self, statement):
+        engine = _hashed4_engine(statement)
+        before = _live_history_trees()
+        for adversary_index in range(len(engine.adversaries)):
+            for start_index in (0, 1):
+                rng = rng_from_seed(adversary_index + 10 * start_index)
+                engine.sample(adversary_index, start_index, rng)
+                engine.time_to_target(adversary_index, start_index, rng)
+        assert _live_history_trees() - before == 1
 
 
 def test_batched_check_never_imports_numpy(tmp_path):

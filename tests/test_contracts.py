@@ -716,9 +716,9 @@ class TestClosureProbe:
             times.add(json.dumps(time.to_dict(), sort_keys=True))
         assert len(arrows) == len(times) == 1
 
-    def test_tabulated_batched_pairs_never_walk_the_tree(
-        self, monkeypatch, capsys
-    ):
+    @staticmethod
+    def _tree_samples(monkeypatch, capsys, argv):
+        """The ``TreeEngine.sample`` calls ``main(argv)`` makes."""
         calls = []
         tree_sample = TreeEngine.sample
 
@@ -727,11 +727,25 @@ class TestClosureProbe:
             return tree_sample(engine, *args, **kwargs)
 
         monkeypatch.setattr(TreeEngine, "sample", counted)
-        argv = ["check", "--model", "herman", "--n", "3", "--engine",
-                "batched", "--samples", "4", "--guards", "warn"]
         assert main(argv) == 0
         capsys.readouterr()
-        assert calls == []
+        return calls
+
+    def test_tabulated_batched_pairs_never_walk_the_tree(
+        self, monkeypatch, capsys
+    ):
+        argv = ["check", "--model", "herman", "--n", "3", "--engine",
+                "batched", "--samples", "4", "--guards", "warn"]
+        assert self._tree_samples(monkeypatch, capsys, argv) == []
+
+    def test_untabulated_batched_pairs_never_walk_the_tree(
+        self, monkeypatch, capsys
+    ):
+        """The coin-peeking ``hashed-*`` adversaries take the batched
+        engine's history walk, not the tree engine's."""
+        argv = ["verify", "--model", "lr", "--n", "3", "--engine",
+                "batched", "--samples", "4", "--no-manifest"]
+        assert self._tree_samples(monkeypatch, capsys, argv) == []
 
 
 # ----------------------------------------------------------------------

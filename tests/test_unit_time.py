@@ -256,6 +256,40 @@ class TestHashedRandomPolicy:
         fragment = run_steps(automaton, adversary, start, 60, seed=1)
         assert lr.lr_time_of(fragment.lstate) > 0
 
+    def test_a_lone_candidate_moves_as_with_both_digests(self, ring3):
+        """The policy skips the digest of a lone pending process or a
+        lone step (a digest mod 1 is 0); every recorded decision must
+        still equal the move computed with both digests taken."""
+        automaton, view = ring3
+        decisions = []
+
+        class Recording(HashedRandomRoundPolicy):
+            def next_move(self, automaton, fragment, pending, view):
+                decisions.append((self.seed, fragment, pending))
+                return super().next_move(automaton, fragment, pending, view)
+
+        for seed in (1, 2, 3):
+            adversary = RoundBasedAdversary(view, Recording(seed))
+            for start in lr.canonical_states(3).values():
+                run_steps(automaton, adversary, start, 40, seed=seed)
+        candidates = []
+        for seed, fragment, pending in decisions:
+            policy = HashedRandomRoundPolicy(seed)
+            move = policy.next_move(automaton, fragment, pending, view)
+            if not pending:
+                assert move is ADVANCE_TIME
+                continue
+            pick = fragment_digest(policy.seed, fragment, extra="process")
+            process = pending[pick % len(pending)]
+            steps = steps_of_process(automaton, fragment.lstate, view, process)
+            which = fragment_digest(policy.seed, fragment, extra="step")
+            assert move is steps[which % len(steps)]
+            candidates.append((len(pending) > 1, len(steps) > 1))
+        # Both digests are skipped and taken somewhere along the walks.
+        for several in (True, False):
+            assert any(process is several for process, _ in candidates)
+            assert any(step is several for _, step in candidates)
+
 
 # ----------------------------------------------------------------------
 # Reference digest: fragment_digest as it was before fragments kept
