@@ -4,9 +4,9 @@ The canonical next randomized-ring protocol after Lehmann-Rabin: an odd
 ring of bit-holding processes where token holders flip a (possibly
 biased) coin each round and everyone else copies left, merging tokens
 until the legal single-token configuration is reached.  Packaged for
-the paper's framework — Unit-Time process view, arrow-statement claims,
-retry-recursion expected-time bound, and dihedral compile quotients —
-and registered as the ``herman`` model in :mod:`repro.models`.
+the paper's framework — Unit-Time process view, arrow-statement claims
+and the retry-recursion expected-time bound — and registered as the
+``herman`` model in :mod:`repro.models`.
 """
 
 from repro.algorithms.herman.automaton import (
@@ -35,14 +35,6 @@ from repro.algorithms.herman.claims import (
     stabilized,
 )
 from repro.algorithms.herman.state import HermanState, herman_fresh_state
-from repro.algorithms.herman.symmetry import (
-    canonical_rotation,
-    canonical_symmetry,
-    ring_symmetry_spec,
-    rotation_orbit,
-    rotation_space_spec,
-    symmetry_orbit,
-)
 
 __all__ = [
     "COPY",
@@ -55,8 +47,6 @@ __all__ = [
     "STABLE_CLASS",
     "TOP_CLASS",
     "at_top",
-    "canonical_rotation",
-    "canonical_symmetry",
     "collapse_probability",
     "herman_automaton",
     "herman_expected_time_bound",
@@ -67,11 +57,7 @@ __all__ = [
     "herman_time_of",
     "herman_transitions",
     "in_reduced",
-    "ring_symmetry_spec",
-    "rotation_orbit",
-    "rotation_space_spec",
     "stabilized",
-    "symmetry_orbit",
     "token_at",
     "token_count",
 ]

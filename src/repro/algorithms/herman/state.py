@@ -87,24 +87,6 @@ class HermanState:
             return HermanState(tuple(commits), (None,) * self.n, self.time)
         return HermanState(self.bits, commits, self.time)
 
-    def rotated(self, k: int) -> "HermanState":
-        """The ring relabelled by ``i -> i - k`` (word rotated left)."""
-        n = self.n
-        return HermanState(
-            tuple(self.bits[(i + k) % n] for i in range(n)),
-            tuple(self.commits[(i + k) % n] for i in range(n)),
-            self.time,
-        )
-
-    def reflected(self) -> "HermanState":
-        """The ring relabelled by ``i -> -i`` (orientation reversed)."""
-        n = self.n
-        return HermanState(
-            tuple(self.bits[(-i) % n] for i in range(n)),
-            tuple(self.commits[(-i) % n] for i in range(n)),
-            self.time,
-        )
-
     def __repr__(self) -> str:
         slots = "".join(
             "." if c is None else str(c) for c in self.commits

@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.algorithms.lehmann_rabin.automaton import (
     LRProcessView,
     lehmann_rabin_automaton,
-    lr_time_of,
 )
 from repro.algorithms.lehmann_rabin.proof import leaf_statements
 from repro.algorithms.lehmann_rabin.regions import T_CLASS, in_critical
@@ -35,10 +34,9 @@ from repro.algorithms.lehmann_rabin.state import (
     make_state,
     process_state,
 )
-from repro.errors import StateBudgetExceeded, VerificationError
+from repro.errors import VerificationError
 from repro.mdp.bounded import min_reach_over_starts
 from repro.proofs.statements import StateClass
-from repro.statespace.compile import CompiledSpace, compile_space, untimed_spec
 
 _ALL_LOCALS = tuple(
     process_state(pc, side) for pc in PC for side in Side
@@ -107,25 +105,6 @@ LEAF_SPECS: Dict[str, Tuple[StateClass, Callable, int, Fraction]] = {
 }
 
 
-def _exhaustive_space(
-    automaton, members: List[LRState]
-) -> Optional[CompiledSpace]:
-    """One interned space shared by every start of a sweep.
-
-    Explored up to the clock from all region members at once; ``None``
-    (falling back to rich-key memoisation) when the closure does not
-    fit the default budget, so sweeps degrade instead of failing.
-    """
-    try:
-        return compile_space(
-            automaton,
-            members,
-            untimed_spec(lr_time_of),
-        ).explore()
-    except StateBudgetExceeded:
-        return None
-
-
 def _sweep(
     name: str,
     region: StateClass,
@@ -137,11 +116,10 @@ def _sweep(
 ) -> ExhaustiveResult:
     """The exact minimum of ``region --rounds--> target`` over the region.
 
-    The region's reachable space is explored once and its interned ids
-    key the memo table :func:`min_reach_over_starts` shares across all
-    member states — neighbouring starts reuse almost every subproblem,
-    which is what makes the full sweeps fast enough for the tier-1
-    suite.
+    :func:`min_reach_over_starts` shares one memo table, keyed on
+    untimed states, across all member states — neighbouring starts
+    reuse almost every subproblem, which is what makes the full sweeps
+    fast enough for the tier-1 suite.
     """
     automaton = lehmann_rabin_automaton(n)
     members = [s for s in all_consistent_states(n) if region.contains(s)]
@@ -152,7 +130,6 @@ def _sweep(
     minimum, witness = min_reach_over_starts(
         automaton, LRProcessView(n), target, members, rounds,
         strip_time=lambda s: s.untimed(),
-        space=_exhaustive_space(automaton, members),
     )
     return ExhaustiveResult(
         name=name,
@@ -179,8 +156,8 @@ def exhaustive_composed_check(
 ) -> ExhaustiveResult:
     """``T --13--> C`` over (optionally the first ``limit``) T states.
 
-    The full sweep over all 3896 T states takes about 12 seconds at
-    n = 3 on a 2-CPU host; the tier-1 suite runs it with a limit.
+    The full sweep over all 3896 T states takes about 4 seconds at
+    n = 3 on a 2-CPU host.
     """
     return _sweep(
         "composed", T_CLASS, in_critical, rounds, Fraction(1, 8), n, limit

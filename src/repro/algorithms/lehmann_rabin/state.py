@@ -241,41 +241,6 @@ class LRState:
         """The state without its clock (memoisation key for dynamics)."""
         return (self.processes, self.resources)
 
-    def rotated(self, k: int) -> "LRState":
-        """The state with every ring index shifted down by ``k``.
-
-        New process ``j`` is old process ``j + k`` (mod ``n``), and the
-        resources rotate by the *same* offset, preserving the geometry:
-        the new process ``j``'s right resource ``Res_j`` is the old
-        ``Res_{j+k}`` — the old process ``j + k``'s right resource.
-        The clock is untouched, so rotation commutes with ``untimed``
-        and with every time-invariant quotient.
-        """
-        k %= self.n
-        if k == 0:
-            return self
-        processes = self.processes[k:] + self.processes[:k]
-        resources = self.resources[k:] + self.resources[:k]
-        return LRState(processes, resources, self.time)
-
-    def reflected(self) -> "LRState":
-        """The mirror image of the ring, with every side variable flipped.
-
-        New process ``j`` is old process ``n - 1 - j`` with ``u``
-        swapped (a mirrored process's left is the original's right), and
-        new ``Res_j`` is old ``Res_{n-2-j}``: the resource between old
-        processes ``n-1-j`` and ``n-j`` is the one between new processes
-        ``j`` and ``j-1`` — i.e. the new process ``j``'s *left*
-        resource, matching the side swap.  Together with :meth:`rotated`
-        this generates the full dihedral symmetry group of the ring.
-        """
-        n = self.n
-        processes = tuple(
-            local.with_u(local.u.opp) for local in reversed(self.processes)
-        )
-        resources = tuple(self.resources[(n - 2 - j) % n] for j in range(n))
-        return LRState(processes, resources, self.time)
-
     def __repr__(self) -> str:
         procs = " ".join(repr(p) for p in self.processes)
         res = "".join("T" if r else "." for r in self.resources)

@@ -22,7 +22,7 @@ plain-text report:
 * ``audit``          — static well-formedness audit of the selected
   model's automaton (Definition 2.1 obligations);
 * ``models``         — list the registered case-study models with
-  their instance-size range, adversary family, and quotient support;
+  their instance-size range and adversary family;
 * ``trace``          — run any other subcommand with instrumentation on
   and render its span tree and metric tables afterwards;
 * ``runs``           — list, show, and diff the provenance manifests
@@ -56,9 +56,9 @@ per-execution budgets; on healthy models ``warn`` output is
 byte-identical to ``off`` for every worker count, and strict-mode
 violations exit with the dedicated status 4 (see ``docs/contracts.md``).
 ``--engine {tree,batched,auto}`` selects the evaluation
-strategy — the historical tree walk, or the compile-once interned
-state space flattened into arrays and sampled in uniform blocks — and
-``--state-budget`` caps the compile; reports are byte-identical
+strategy — the historical tree walk, or tables of only the states the
+adversaries reach, flattened into arrays and sampled in uniform blocks
+— and ``--state-budget`` caps the compile; reports are byte-identical
 whichever engine ran (see ``docs/statespace.md``).  The sampling
 subcommands, ``audit``, and ``fuzz`` accept ``--model NAME`` to select
 a registered case study from :mod:`repro.models`; the default ``lr``
@@ -115,7 +115,7 @@ models:
   registered case study; the default 'lr' is the paper's Lehmann-Rabin
   ring and reproduces the historical output byte for byte.
   'repro models' lists every registered model with its instance-size
-  range, adversary family, and quotient support (docs/models.md)
+  range and adversary family (docs/models.md)
 
 """
 
@@ -605,10 +605,6 @@ def _cmd_models(args: argparse.Namespace) -> int:
             "n_range": model.n_range,
             "default_prop": model.default_prop,
             "adversaries": [name for name, _ in setup.adversaries],
-            "quotient": (
-                "untimed+symmetry" if model.symmetry_spec is not None
-                else "untimed"
-            ),
             "sweep_sizes": list(model.sweep_sizes),
         })
     if args.json:
@@ -616,8 +612,7 @@ def _cmd_models(args: argparse.Namespace) -> int:
         return 0
     print(banner("Registered models"))
     print(format_table(
-        ("model", "title", "default n", "n-range", "adversaries",
-         "quotient"),
+        ("model", "title", "default n", "n-range", "adversaries"),
         [
             (
                 record["name"],
@@ -625,7 +620,6 @@ def _cmd_models(args: argparse.Namespace) -> int:
                 record["n_default"],
                 record["n_range"],
                 len(record["adversaries"]),
-                record["quotient"],
             )
             for record in records
         ],
@@ -882,9 +876,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("tree", "batched", "auto"),
         default="tree",
         help="evaluation strategy: 'tree' walks the live object "
-             "graph, 'batched' interns the reachable state space "
-             "once, flattens it into arrays, and draws uniforms in "
-             "blocks (errors when the --state-budget is exceeded), "
+             "graph, 'batched' tabulates only the states the "
+             "adversary tables reach, flattens the tables into "
+             "arrays, and draws uniforms in blocks (errors when the "
+             "--state-budget is exceeded), "
              "'auto' prefers the batched walk when the space fits "
              "and falls back to the tree walk otherwise; reports are "
              "byte-identical whichever engine ran "
@@ -1604,7 +1599,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code = _dispatch(args)
     except ContractViolation as error:
-        # Before VerificationError: QuotientInvarianceError is both.
         print(f"repro: contract violation: {error}", file=sys.stderr)
         code = EXIT_CONTRACT
     except VerificationError as error:

@@ -68,6 +68,11 @@ def report_violation(config: GuardConfig, error: ContractViolation) -> None:
     Strict: raises ``error``.  Warn: increments ``contracts.violations``
     and ``contracts.<kind>`` counters and prints one stderr warning per
     distinct ``error.site``.  Never called in off mode.
+
+    The warning goes out as one ``write`` of the whole line: forked pool
+    workers share the parent's stderr, and ``print`` writes the message
+    and its newline separately, so two workers' warnings could share a
+    line.
     """
     if obs.enabled():
         obs.incr("contracts.violations")
@@ -76,7 +81,7 @@ def report_violation(config: GuardConfig, error: ContractViolation) -> None:
         raise error
     if error.site not in _warned_sites and len(_warned_sites) < _MAX_WARNED_SITES:
         _warned_sites.add(error.site)
-        print(f"repro: contract warning: {error}", file=sys.stderr)
+        sys.stderr.write(f"repro: contract warning: {error}\n")
 
 
 def check_transition_distribution(

@@ -15,7 +15,7 @@ CLI: ``repro corpus list|run|add`` and ``repro fuzz``.  See
 ``docs/corpus.md``.
 """
 
-from repro.corpus.cases import CheckCase, FlagsCase
+from repro.corpus.cases import CheckCase
 from repro.corpus.registry import (
     DEFAULT_CORPUS_FILE,
     ENGINES,
@@ -33,7 +33,6 @@ from repro.corpus.runner import (
     CorpusReport,
     EntryResult,
     classify_check,
-    classify_flags,
     run_corpus,
     run_entry,
 )
@@ -55,13 +54,11 @@ __all__ = [
     "ENGINES",
     "EntryResult",
     "EXIT_DIVERGENCE",
-    "FlagsCase",
     "FuzzReport",
     "MODES",
     "WORKER_COUNTS",
     "builtin_entries",
     "classify_check",
-    "classify_flags",
     "corpus_record",
     "diff_case",
     "entry_by_name",

@@ -15,9 +15,6 @@ Two case shapes exist:
 * :class:`CheckCase` — everything :func:`check_arrow_by_sampling`
   needs for one full differential replay (model, adversary family,
   statement, sampling plan, optional fault-injection policy);
-* :class:`FlagsCase` — a compile-level case for defects that live in
-  the state-space layer rather than the sampling path (today: the
-  quotient-invariance spot check of ``CompiledSpace.flags``);
 * :class:`ServiceCase` — a job-service failure scenario replayed
   in-process with injected clocks and hand-written log damage, so the
   service error taxonomy (lease expiry, store corruption, crash
@@ -243,18 +240,6 @@ TINY_STATEMENT = ArrowStatement(A_CLASS, C_CLASS, 0, Fraction(1, 4), "tiny")
 NEVER_STATEMENT = ArrowStatement(A_CLASS, NEVER_CLASS, 0, 0, "tiny")
 
 
-def noninvariant_orbit_spec() -> SpaceSpec:
-    """An identity-key spec whose orbit merges ``b`` and ``c``.
-
-    The orbit claims ``{b, c}`` form one symmetry class while the
-    predicate ``s == 'c'`` tells them apart — exactly the misdeclared
-    symmetry the ``CompiledSpace.flags`` spot check exists to catch.
-    """
-    return SpaceSpec(
-        orbit=lambda state: ("b", "c") if state in ("b", "c") else (state,)
-    )
-
-
 @dataclass(frozen=True)
 class CheckCase:
     """One full arrow-check replay: model, family, and sampling plan.
@@ -278,17 +263,6 @@ class CheckCase:
     space_spec: Optional[SpaceSpec] = None
     state_budget: Optional[int] = None
     policy_factory: Optional[Callable[[], object]] = None
-
-
-@dataclass(frozen=True)
-class FlagsCase:
-    """A compile-level case: quotient the space, evaluate a predicate."""
-
-    automaton_factory: Callable[[], object]
-    spec_factory: Callable[[], SpaceSpec]
-    predicate: Callable[[object], bool]
-    roots: Tuple[object, ...] = ("a",)
-    max_states: int = 10_000
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from typing import Callable, Mapping, Optional, Tuple, Union
 
 from repro import durable_io
 from repro.corpus import cases
-from repro.corpus.cases import CheckCase, FlagsCase, ServiceCase
+from repro.corpus.cases import CheckCase, ServiceCase
 from repro.errors import VerificationError
 from repro.parallel.faults import FaultPlan
 from repro.parallel.pool import RunPolicy
@@ -64,7 +64,7 @@ OK = "ok"
 class CorpusEntry:
     """One defect (or control) with its expected classification.
 
-    ``build`` returns a fresh :class:`CheckCase` or :class:`FlagsCase`
+    ``build`` returns a fresh :class:`CheckCase` or :class:`ServiceCase`
     per replay; entries themselves are immutable and stateless.
 
     ``engines`` restricts the identity matrix when a defect is only
@@ -85,7 +85,7 @@ class CorpusEntry:
     expected_kind: Optional[str]
     expect: Mapping[str, str]
     exit_status: int
-    build: Callable[[], Union[CheckCase, FlagsCase, ServiceCase]]
+    build: Callable[[], Union[CheckCase, ServiceCase]]
     kind: str = "check"
     engines: Tuple[str, ...] = ENGINES
     baseline_ok: bool = False
@@ -151,14 +151,6 @@ def _fuel_case() -> CheckCase:
         adversaries_factory=cases.first_enabled_family,
         statement=cases.NEVER_STATEMENT,
         fuel_steps=1,
-    )
-
-
-def _quotient_flags_case() -> FlagsCase:
-    return FlagsCase(
-        automaton_factory=cases.tiny_automaton,
-        spec_factory=cases.noninvariant_orbit_spec,
-        predicate=lambda state: state == "c",
     )
 
 
@@ -318,25 +310,6 @@ BUILTIN_ENTRIES: Tuple[CorpusEntry, ...] = (
         engines=("tree",),
         baseline_ok=False,
         warn_matches_off=False,
-    ),
-    CorpusEntry(
-        name="quotient-noninvariant-flag",
-        description=(
-            "A symmetry spec whose orbit merges states a flag predicate "
-            "tells apart — the CompiledSpace.flags spot check must "
-            "refuse the quotient."
-        ),
-        expected_class="QuotientInvarianceError",
-        expected_kind="quotient",
-        expect={
-            "off": OK,
-            "warn": "flagged:quotient",
-            "strict": "error:QuotientInvarianceError",
-        },
-        exit_status=4,
-        build=_quotient_flags_case,
-        kind="flags",
-        workers=(1,),
     ),
     CorpusEntry(
         name="state-budget-blown",

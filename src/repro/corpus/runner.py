@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.contracts import GuardConfig, reset_warnings
-from repro.corpus.cases import CheckCase, FlagsCase, ServiceCase
+from repro.corpus.cases import CheckCase, ServiceCase
 from repro.corpus.registry import (
     MODES,
     CorpusEntry,
@@ -55,7 +55,6 @@ from repro.errors import (
 )
 from repro.parallel.pool import fork_available
 from repro.proofs.verifier import check_arrow_by_sampling
-from repro.statespace.compile import compile_space
 
 
 @dataclass(frozen=True)
@@ -212,34 +211,6 @@ def classify_check(
     return Classification("ok", "", EXIT_OK, digest, flagged)
 
 
-def classify_flags(case: FlagsCase, *, mode: str) -> Classification:
-    """Run one compile-level flags cell and classify its outcome."""
-    guards = GuardConfig(mode=mode).validate() if mode != "off" else None
-    reset_warnings()
-    with obs.recording() as registry:
-        try:
-            space = compile_space(
-                case.automaton_factory(),
-                list(case.roots),
-                case.spec_factory(),
-                max_states=case.max_states,
-                guards=guards,
-            ).explore()
-            values = space.flags(case.predicate, guards)
-        except ContractViolation as error:
-            return Classification(
-                "error", type(error).__name__, EXIT_CONTRACT, "", ()
-            )
-        except StateBudgetExceeded as error:
-            return Classification(
-                "error", type(error).__name__, EXIT_USAGE, "", ()
-            )
-        counters = registry.metrics.snapshot()["counters"]
-    flagged = _flagged_kinds(counters)
-    digest = report_digest({"kind": "flags", "values": values})
-    return Classification("ok", "", EXIT_OK, digest, flagged)
-
-
 def classify_service(case: ServiceCase) -> Classification:
     """Run one job-service scenario cell and classify its outcome.
 
@@ -294,34 +265,6 @@ def run_entry(entry: CorpusEntry) -> EntryResult:
     """Replay one entry over its matrix; never raises on divergence."""
     problems: List[str] = []
     cells: Dict[Tuple[str, str, int], Classification] = {}
-    if entry.kind == "flags":
-        off_cls: Optional[Classification] = None
-        for mode in MODES:
-            cls = classify_flags(entry.build(), mode=mode)
-            cells[(mode, "space", 1)] = cls
-            if mode == "off":
-                off_cls = cls
-            if not entry.agreement_only and not cls.matches(
-                entry.expect[mode]
-            ):
-                problems.append(
-                    f"{entry.name}: mode {mode} expected "
-                    f"{entry.expect[mode]!r}, observed {cls.label}"
-                )
-        if (
-            entry.warn_matches_off
-            and off_cls is not None
-            and cells[("warn", "space", 1)].digest
-            and off_cls.digest
-            and cells[("warn", "space", 1)].digest != off_cls.digest
-        ):
-            problems.append(
-                f"{entry.name}: warn-mode flag values diverge from off"
-            )
-        return EntryResult(
-            entry.name, not problems, False, cells, tuple(problems)
-        )
-
     if entry.kind == "service":
         first_cls: Optional[Classification] = None
         for mode in MODES:

@@ -128,9 +128,8 @@ class UnknownModelError(ModelRegistryError):
 class StateSpaceError(VerificationError):
     """Raised when a state space cannot be compiled as requested.
 
-    Examples: a space specification whose quotient key collides two
-    dynamically distinct states, or an adversary that cannot be
-    tabulated into a finite decision table.
+    Example: a compile that would intern more states than its budget
+    allows (:class:`StateBudgetExceeded`).
     """
 
 
@@ -346,20 +345,6 @@ class ExecutionClosureError(ContractViolation, AdversaryError):
     """
 
     kind = "closure"
-
-
-class QuotientInvarianceError(ContractViolation, StateSpaceError):
-    """A predicate disagreed across members of one quotient class.
-
-    The symmetry quotient of :class:`repro.statespace.compile.SpaceSpec`
-    is only sound for predicates that are constant on each equivalence
-    class; the spot check in ``CompiledSpace.flags`` evaluates the
-    predicate on sampled class members and raises (strict) or warns
-    (warn) when a member disagrees with its class representative —
-    a non-invariant predicate would silently misflag whole classes.
-    """
-
-    kind = "quotient"
 
 
 class FuelExhaustedError(ContractViolation):

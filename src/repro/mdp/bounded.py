@@ -60,7 +60,6 @@ from repro.automaton.automaton import ProbabilisticAutomaton
 from repro.automaton.signature import TIME_PASSAGE, Action
 from repro.automaton.transition import Transition
 from repro.errors import VerificationError
-from repro.statespace.compile import CompiledSpace
 
 State = TypeVar("State", bound=Hashable)
 
@@ -102,7 +101,6 @@ def min_reach_probability_rounds(
     max_memo: int = 5_000_000,
     *,
     watched: Optional[Mapping[Action, Callable[[State], bool]]] = None,
-    space: Optional[CompiledSpace] = None,
     memo: Optional[Dict] = None,
 ) -> Fraction:
     """Extremal probability of reaching ``target`` within ``rounds``.
@@ -121,11 +119,9 @@ def min_reach_probability_rounds(
     the module docstring for why ``1 -`` the minimum is then the worst
     counterexample probability of the conditional claim).
 
-    When a :class:`CompiledSpace` whose quotient key equals
-    ``strip_time`` is supplied, memo entries key on its dense interned
-    ids instead of rich keys.  ``memo`` lets callers share one table
-    across many starts of the *same* (target, watched, minimise)
-    problem, as :func:`min_reach_over_starts` does.
+    ``memo`` lets callers share one table across many starts of the
+    *same* (target, watched, minimise) problem, as
+    :func:`min_reach_over_starts` does.
     """
     if rounds < 0:
         raise VerificationError("rounds must be nonnegative")
@@ -136,7 +132,6 @@ def min_reach_probability_rounds(
     if rounds == 0:
         return _ZERO
     select = min if minimise else max
-    strip = space.state_id if space is not None else strip_time
     watched = watched or {}
     if memo is None:
         memo = {}
@@ -146,7 +141,7 @@ def min_reach_probability_rounds(
     # only nodes off the target and before the horizon get one.  Each
     # move is (mass that hit the target or broke a constraint,
     # [(weight, child node), ...]).
-    root = (strip(start), _NOBODY, frozenset(watched), rounds)
+    root = (strip_time(start), _NOBODY, frozenset(watched), rounds)
     expanded: Dict[Tuple, List] = {}
     stack = [(start, root)]
     while stack:
@@ -180,7 +175,7 @@ def min_reach_probability_rounds(
                     ):
                         done += weight
                         continue
-                    child = (strip(successor), after, left, remaining)
+                    child = (strip_time(successor), after, left, remaining)
                     children.append((weight, child))
                     if child not in memo:
                         missing.append((successor, child))
@@ -226,7 +221,6 @@ def min_reach_over_starts(
     minimise: bool = True,
     *,
     watched: Optional[Mapping[Action, Callable[[State], bool]]] = None,
-    space: Optional[CompiledSpace] = None,
 ) -> Tuple[Fraction, Optional[State]]:
     """The worst start state of a family, with its exact probability.
 
@@ -244,7 +238,7 @@ def min_reach_over_starts(
     for start in starts:
         value = min_reach_probability_rounds(
             automaton, view, target, start, rounds, strip_time, minimise,
-            watched=watched, space=space, memo=memo,
+            watched=watched, memo=memo,
         )
         if (value < extremum) if minimise else (value > extremum):
             extremum, witness = value, start

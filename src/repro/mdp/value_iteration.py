@@ -23,12 +23,11 @@ Lehmann-Rabin exact checker uses the round-synchronous recursion in
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Hashable, Tuple, TypeVar
 
 from repro import obs
 from repro.automaton.automaton import ProbabilisticAutomaton
 from repro.errors import VerificationError
-from repro.statespace.compile import CompiledSpace
 
 State = TypeVar("State", bound=Hashable)
 
@@ -42,8 +41,6 @@ def bounded_reachability(
     start: State,
     steps: int,
     minimise: bool = True,
-    *,
-    space: Optional[CompiledSpace] = None,
 ) -> Fraction:
     """The extremal probability of hitting ``target`` within ``steps``.
 
@@ -53,24 +50,17 @@ def bounded_reachability(
     in the target.
 
     The induction runs on an explicit stack, so ``steps`` can exceed the
-    interpreter's recursion limit.  When a :class:`CompiledSpace`
-    covering ``start``'s reachable set is supplied, memo keys are its
-    dense interned ids instead of rich state objects — cheaper to hash
-    and shared with every other consumer of the same space.
+    interpreter's recursion limit.
     """
     if steps < 0:
         raise VerificationError("steps must be nonnegative")
     select = min if minimise else max
-    if space is not None:
-        key_of: Callable[[State], Hashable] = space.state_id
-    else:
-        key_of = lambda state: state  # noqa: E731 - local key adapter
     memo: Dict[Tuple[Hashable, int], Fraction] = {}
 
     stack = [(start, steps)]
     while stack:
         state, remaining = stack[-1]
-        key = (key_of(state), remaining)
+        key = (state, remaining)
         if key in memo:
             stack.pop()
             continue
@@ -91,7 +81,7 @@ def bounded_reachability(
             (successor, remaining - 1)
             for step in enabled
             for successor in step.target.support
-            if (key_of(successor), remaining - 1) not in memo
+            if (successor, remaining - 1) not in memo
         ]
         if missing:
             stack.extend(missing)
@@ -99,7 +89,7 @@ def bounded_reachability(
         memo[key] = select(
             sum(
                 (
-                    weight * memo[(key_of(successor), remaining - 1)]
+                    weight * memo[(successor, remaining - 1)]
                     for successor, weight in step.target.items()
                 ),
                 _ZERO,
@@ -108,7 +98,7 @@ def bounded_reachability(
         )
         stack.pop()
 
-    result = memo[(key_of(start), steps)]
+    result = memo[(start, steps)]
     if obs.enabled():
         obs.incr("mdp.bounded.calls")
         obs.incr("mdp.bounded.states_evaluated", len(memo))

@@ -119,9 +119,6 @@ class Model:
     ]
     #: The reference start state for MDP value iteration.
     mdp_reference: Callable[[int], Any]
-    #: The optional symmetry quotient; ``None`` when the model has no
-    #: symmetry reduction.  See docs/models.md for the soundness caveat.
-    symmetry_spec: Optional[Callable[[int], SpaceSpec]] = None
     #: Strip a state to its untimed interning/dedup key.
     untimed: Callable[[Any], Hashable] = untimed_key
     #: Default sweep sizes for ``repro sweep`` when ``--sizes`` is
@@ -137,7 +134,7 @@ class ExperimentSetup:
     named adversary family, and the declared schema, as a model's
     ``build(n)`` returns them.  ``model`` back-references the registry
     entry so the generic analysis layer can reach the model's
-    predicates and quotient hooks.
+    predicates and its compile quotient.
     """
 
     n: int
@@ -155,13 +152,6 @@ class ExperimentSetup:
         clock, by the model's own ``untimed`` and ``time_of``."""
         model = require_model(self)
         return untimed_spec(model.time_of, model.untimed)
-
-    def symmetry_spec(self) -> Optional[SpaceSpec]:
-        """The symmetry quotient, or ``None`` when unsupported."""
-        model = require_model(self)
-        if model.symmetry_spec is None:
-            return None
-        return model.symmetry_spec(self.n)
 
 
 def require_model(setup: ExperimentSetup) -> Model:

@@ -131,7 +131,6 @@ BENOR_MODEL = register_model(
         canonical_states=_canonical_states,
         sample_states_in=_sample_states_in,
         mdp_reference=lambda n: benor.benor_initial_state(_split_inputs(n)),
-        symmetry_spec=None,
         sweep_sizes=(2, 3),
     )
 )

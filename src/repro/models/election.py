@@ -116,7 +116,6 @@ ELECTION_MODEL = register_model(
         canonical_states=_canonical_states,
         sample_states_in=_sample_states_in,
         mdp_reference=lambda n: election.election_initial_state(n),
-        symmetry_spec=None,
         sweep_sizes=(3, 4, 5),
     )
 )

@@ -2,8 +2,8 @@
 
 The new case study shipped with the pluggable front-end: an odd ring of
 bit-holding processes, a fair coin by default (the biased variants are
-one ``bias`` argument away), the ``Top -> Reduced`` collapse statement,
-and the dihedral compile quotient.  See
+one ``bias`` argument away) and the ``Top -> Reduced`` collapse
+statement.  See
 :mod:`repro.algorithms.herman.claims` for the derivation and the
 ``n > 3`` caveat.
 """
@@ -131,7 +131,6 @@ HERMAN_MODEL = register_model(
         canonical_states=_canonical_states,
         sample_states_in=_sample_states_in,
         mdp_reference=lambda n: herman.herman_initial_state(n),
-        symmetry_spec=lambda n: herman.ring_symmetry_spec(),
         sweep_sizes=(3, 5),
     )
 )

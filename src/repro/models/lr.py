@@ -1,11 +1,11 @@
 """The Lehmann-Rabin dining-philosophers model (the paper's subject).
 
 Registers the original case study — the automaton of Section 5, the
-Unit-Time adversary family, the Section 6.2 proof chain, and the ring
-quotients — under the name ``lr``, which is also the ``--model``
-default.  Building through the registry is byte-identical to the
-historical hard-wired pipeline: span names, banner prose, seed
-derivations, and start-state selection are all unchanged.
+Unit-Time adversary family and the Section 6.2 proof chain — under the
+name ``lr``, which is also the ``--model`` default.  Building through
+the registry is byte-identical to the historical hard-wired pipeline:
+span names, banner prose, seed derivations, and start-state selection
+are all unchanged.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ LR_MODEL = register_model(
         canonical_states=lr.canonical_states,
         sample_states_in=lr.sample_states_in,
         mdp_reference=lambda n: lr.canonical_states(n)["one_trying"],
-        symmetry_spec=lambda n: lr.ring_symmetry_spec(),
         sweep_sizes=(3, 4, 5),
     )
 )

@@ -175,8 +175,7 @@ DYNAMIC_PREFIXES: Dict[str, Tuple[str, str]] = {
     "contracts.": (
         "counter",
         "per-kind violation counters: contracts.distribution, "
-        "contracts.adversary, contracts.closure, contracts.fuel, "
-        "contracts.quotient"),
+        "contracts.adversary, contracts.closure, contracts.fuel"),
     "ledger.rule.": (
         "counter",
         "per-rule application counters: ledger.rule.assume, "

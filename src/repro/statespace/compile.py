@@ -10,7 +10,7 @@ sums that replicate
 :meth:`repro.probability.space.FiniteDistribution.sample` bit-for-bit
 for the Monte-Carlo engine.  A sampled check asks only for the states
 its adversary tables reach; :meth:`CompiledSpace.explore` tabulates the
-whole reachable space for the callers that need it.
+whole reachable space for the tests that pin it.
 
 Timed automata are compiled *up to the clock*: a :class:`SpaceSpec`
 supplies a quotient key (``LRState.untimed()`` for Lehmann-Rabin) under
@@ -43,8 +43,8 @@ from repro import obs
 from repro.automaton.automaton import ProbabilisticAutomaton
 from repro.automaton.transition import Transition
 from repro.contracts.config import GuardConfig
-from repro.contracts.guards import check_transition_distribution, report_violation
-from repro.errors import QuotientInvarianceError, StateBudgetExceeded
+from repro.contracts.guards import check_transition_distribution
+from repro.errors import StateBudgetExceeded
 
 #: Default cap on the state classes one command's space interns (and
 #: on product nodes per adversary table).  Only what the adversary
@@ -52,11 +52,6 @@ from repro.errors import QuotientInvarianceError, StateBudgetExceeded
 #: whose full reachable space is 71,524.  At n=5 a product table blows
 #: the cap first, so ``auto`` walks the tree instead of stalling.
 DEFAULT_STATE_BUDGET = 200_000
-
-#: How many quotient classes the flags spot check probes (every member
-#: of each probed class is evaluated).  Bounded so checking stays cheap
-#: on large spaces while still catching non-invariant predicates fast.
-_FLAG_PROBES = 64
 
 _ZERO = Fraction(0)
 
@@ -76,23 +71,10 @@ class SpaceSpec:
     engines evaluate.  ``time_of`` reads the clock, used to record exact
     per-outcome time advances.  The identity spec (the default) compiles
     untimed automata verbatim.
-
-    ``canonical``, when set, maps every state to a canonical
-    representative of its symmetry class *before* interning — e.g. the
-    lexicographically least rotation of a Lehmann-Rabin ring state
-    (``repro.algorithms.lehmann_rabin.symmetry``).  It must preserve the
-    clock (``time_of(canonical(s)) == time_of(s)``) and commute with the
-    dynamics: the canonicalised successors of ``canonical(s)`` must be
-    the canonicalised successors of ``s``.  ``orbit`` enumerates the
-    members of a state's symmetry class; it backs the quotient-
-    invariance spot check of :meth:`CompiledSpace.flags` and is required
-    whenever ``canonical`` is set and guards are checking.
     """
 
     key: Callable[[object], Hashable] = lambda state: state
     time_of: Callable[[object], Fraction] = _zero_time
-    canonical: Optional[Callable[[object], object]] = None
-    orbit: Optional[Callable[[object], Sequence[object]]] = None
 
 
 #: The trivial spec: no quotient, zero clock.
@@ -110,8 +92,7 @@ def untimed_spec(
 ) -> SpaceSpec:
     """States up to the clock: intern on ``untimed`` and read each
     outcome's time advance off ``time_of``.  Every shipped model
-    compiles under this quotient; :mod:`repro.statespace.ring` refines
-    it with the ring symmetries."""
+    compiles under this quotient."""
     return SpaceSpec(key=untimed, time_of=time_of)
 
 
@@ -190,10 +171,7 @@ class CompiledSpace:
         Raises :class:`StateBudgetExceeded` rather than intern past
         ``max_states`` classes.
         """
-        spec = self.spec
-        if spec.canonical is not None:
-            state = spec.canonical(state)
-        state_key = spec.key(state)
+        state_key = self.spec.key(state)
         found = self._ids.get(state_key)
         if found is not None:
             return found
@@ -211,13 +189,6 @@ class CompiledSpace:
         reps.append(state)
         self.steps.append(None)
         return new_id
-
-    def state_id(self, state: object) -> int:
-        """The interned id of ``state`` (KeyError when not interned)."""
-        spec = self.spec
-        if spec.canonical is not None:
-            state = spec.canonical(state)
-        return self._ids[spec.key(state)]
 
     def steps_of(self, state_id: int) -> Tuple[CompiledStep, ...]:
         """Class ``state_id``'s enabled steps, tabulated on first use.
@@ -276,7 +247,9 @@ class CompiledSpace:
 
         Visits ids in order, so from fresh roots this is the
         breadth-first search over quotient classes; ids and reps
-        interned earlier keep their values.  Returns ``self``.
+        interned earlier keep their values.  Returns ``self``.  No
+        command calls it, since the adversary tables tabulate on demand;
+        it is the oracle of the golden-count and strict-compile tests.
         """
         state_id = 0
         while state_id < len(self.reps):
@@ -284,55 +257,14 @@ class CompiledSpace:
             state_id += 1
         return self
 
-    def flags(
-        self,
-        predicate: Callable[[object], bool],
-        guards: Optional[GuardConfig] = None,
-    ) -> List[bool]:
+    def flags(self, predicate: Callable[[object], bool]) -> List[bool]:
         """``predicate`` evaluated once per interned class, indexed by id.
 
         The predicate must be invariant under the quotient key (for the
         shipped specs: must not read the clock) — the same contract the
-        key itself carries.  When the spec carries a symmetry ``orbit``
-        and ``guards`` is checking, a bounded spot check re-evaluates
-        the predicate on every member of sampled classes and routes any
-        disagreement through the guard layer
-        (:class:`~repro.errors.QuotientInvarianceError`): warn mode
-        counts and warns once, strict mode raises.
+        key itself carries.
         """
-        values = [bool(predicate(rep)) for rep in self.reps]
-        orbit = self.spec.orbit
-        if orbit is None or guards is None or not guards.checking:
-            return values
-        probes = min(len(values), _FLAG_PROBES)
-        if not probes:
-            return values
-        stride = max(1, len(values) // probes)
-        for index in range(0, len(values), stride):
-            rep = self.reps[index]
-            for member in orbit(rep):
-                if bool(predicate(member)) != values[index]:
-                    report_violation(
-                        guards,
-                        QuotientInvarianceError(
-                            f"predicate {_name_of(predicate)} is not "
-                            f"invariant under the symmetry quotient: class "
-                            f"representative {rep!r} maps to "
-                            f"{values[index]} but class member "
-                            f"{member!r} maps to {not values[index]}",
-                            state=member,
-                            site="statespace.flags.quotient",
-                        ),
-                    )
-                    return values
-        return values
-
-
-def _name_of(predicate: Callable) -> str:
-    """``module.qualname`` of a callable: the same text in every run,
-    where its repr would carry a memory address."""
-    named = predicate if hasattr(predicate, "__qualname__") else type(predicate)
-    return f"{named.__module__}.{named.__qualname__}"
+        return [bool(predicate(rep)) for rep in self.reps]
 
 
 def compile_space(

@@ -50,11 +50,7 @@ from repro.contracts import (
     forget_validated_transitions,
 )
 from repro.contracts.guards import check_chosen_step
-from repro.errors import (
-    ContractViolation,
-    StateBudgetExceeded,
-    VerificationError,
-)
+from repro.errors import StateBudgetExceeded, VerificationError
 from repro.events.reach import EventuallyReach, ReachWithinTime
 from repro.events.schema import EventSchema, EventStatus
 from repro.execution import sampler
@@ -852,11 +848,10 @@ def build_engine(
     this returns (forked workers share the space read-only).
 
     A strict-mode :class:`ContractViolation` raised while tabulating
-    sends only the adversaries that reach it to the tree walk; one
-    raised by the target-flag quotient spot check sends the whole
-    check.  The tree walk re-detects the identical violation per pair
-    and quarantines it exactly as it always has — keeping strict-mode
-    reports byte-identical across engines even on broken models.
+    sends only the adversaries that reach it to the history walk, which
+    re-detects the identical violation per pair and quarantines it
+    exactly as the tree walk does — keeping strict-mode reports
+    byte-identical across engines even on broken models.
     """
     resolve_engine_name(engine)
     resolve_state_budget(state_budget)
@@ -907,15 +902,10 @@ def build_engine(
             if obs.enabled():
                 obs.gauge("statespace.states", space.n_states)
                 obs.gauge("statespace.transitions", space.n_transitions)
-            # Inside the try: the quotient-invariance spot check may
-            # raise in strict mode, and the tree fallback below must
-            # cover it like any other compile-time violation.
-            flags = space.flags(target, guards)
+            flags = space.flags(target)
     except StateBudgetExceeded:
         if engine != "auto":
             raise
-        return tree
-    except ContractViolation:
         return tree
     batched = BatchedEngine(tree, tables, flags)
     if obs.enabled():

@@ -59,6 +59,12 @@ EXHAUSTIVE_STDOUT = "".join(line + "\n" for line in (
     "A.3          T       3896    1            1               ok     ",
 ))
 
+#: ``repro exhaustive --composed``: the leaves, then the composed
+#: statement over all 3,896 ``T`` states.
+EXHAUSTIVE_COMPOSED_STDOUT = EXHAUSTIVE_STDOUT + (
+    "composed     T       3896    1/8          15/16           ok     \n"
+)
+
 
 class TestParser:
     def test_requires_a_command(self):
@@ -164,6 +170,10 @@ class TestCommands:
         assert "FAILS" not in out
         assert out == EXHAUSTIVE_STDOUT
 
+    def test_exhaustive_composed(self, capsys):
+        assert main(["exhaustive", "--composed"]) == 0
+        assert capsys.readouterr().out == EXHAUSTIVE_COMPOSED_STDOUT
+
     def test_all(self, capsys):
         assert main(["all", "--states", "2"]) == 0
         out = capsys.readouterr().out
@@ -180,7 +190,7 @@ class TestModelsFrontEnd:
         assert "Registered models" in out
         for name in ("lr", "benor", "election", "herman"):
             assert name in out
-        assert "untimed+symmetry" in out
+        assert "adversaries" in out
 
     def test_models_json_is_canonical(self, capsys):
         import json

@@ -20,6 +20,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -453,6 +454,30 @@ class TestGuardChecks:
         check_transition_distribution(WARN, step)
         assert "contract warning" in capsys.readouterr().err
 
+    def test_each_warning_is_one_write(self, monkeypatch):
+        """Forked pool workers share stderr, so a warning must not be
+        split into the message and its newline: another worker's
+        warning could land between the two."""
+        writes = []
+
+        class RecordingStderr:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stderr", RecordingStderr())
+        automaton = broken_automaton()
+        check_transition_distribution(WARN, automaton.transitions("a")[0])
+        fake = Transition("a", "stop", FiniteDistribution.dirac("c"))
+        check_chosen_step(WARN, automaton, self.fragment(), fake, "rogue")
+        assert len(writes) == 2
+        for text in writes:
+            assert text.startswith("repro: contract warning: ")
+            assert text.endswith("\n") and text.count("\n") == 1
+
     def test_fuel_step_budget(self):
         fuel = Fuel(1, None)
         assert fuel.spend(STRICT, self.fragment())
@@ -793,6 +818,26 @@ class TestLintAssertBan:
         findings = lint.banned_handlers(path)
         assert [line for line, m in findings if "numpy" in m] == [1]
         assert lint.run_ban_check([tmp_path]) == 1
+
+    @pytest.mark.parametrize("source", [
+        "from repro.statespace.compile import CompiledSpace\n",
+        "import repro.statespace.engine\n",
+        "from repro.statespace import compile_space\n",
+        "from repro import statespace\n",
+    ], ids=["from-module", "import-module", "from-package", "from-repro"])
+    def test_statespace_flagged_under_mdp(self, lint, tmp_path, source):
+        path = tmp_path / "src" / "repro" / "mdp" / "bounded.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(source)
+        findings = lint.banned_handlers(path)
+        assert [line for line, m in findings if "repro.mdp" in m] == [1]
+        assert lint.run_ban_check([tmp_path]) == 1
+
+    def test_statespace_allowed_outside_mdp(self, lint, tmp_path):
+        path = tmp_path / "src" / "repro" / "proofs" / "verifier.py"
+        path.parent.mkdir(parents=True)
+        path.write_text("from repro.statespace import compile_space\n")
+        assert lint.banned_handlers(path) == []
 
     @staticmethod
     def dead_surface_tree(tmp_path, index_rows=()):

@@ -181,7 +181,6 @@ class TestRegistry:
             "AdversaryContractError",
             "ExecutionClosureError",
             "FuelExhaustedError",
-            "QuotientInvarianceError",
             "StateBudgetExceeded",
             "UnknownModelError",
             "WorkerCrashError",
@@ -225,19 +224,6 @@ class TestCorpusSweep:
             (mode, engine) for mode in MODES for engine in ENGINES
         }
         assert {w for _, _, w in healthy.cells} == {1, 4}
-
-    def test_the_flags_cell_warns_the_same_in_every_run(self, capsys):
-        # The predicate is a fresh lambda per build: it is named by
-        # module and qualified name, never by its address.
-        entry = entry_by_name("quotient-noninvariant-flag")
-        messages = []
-        for _ in range(2):
-            cell = corpus_runner.classify_flags(entry.build(), mode="warn")
-            assert cell.flagged == ("quotient",)
-            messages.append(capsys.readouterr().err)
-        assert messages[0] == messages[1]
-        assert "_quotient_flags_case.<locals>.<lambda> is not" in messages[0]
-        assert "0x" not in messages[0]
 
     def test_report_shapes(self):
         report = run_corpus([entry_by_name("healthy-tiny")])

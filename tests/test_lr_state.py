@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.algorithms.lehmann_rabin.automaton import lehmann_rabin_automaton
 from repro.algorithms.lehmann_rabin.state import (
     FREE,
     LRState,
@@ -69,10 +70,16 @@ class TestProcessState:
     def test_the_model_builds_shared_states(self):
         state = initial_state(3)
         assert state.process(0) is process_state(PC.R, Side.LEFT)
-        mirrored = state.with_process(
-            1, process_state(PC.W, Side.RIGHT)
-        ).reflected()
-        assert mirrored.process(1) is process_state(PC.W, Side.LEFT)
+        automaton = lehmann_rabin_automaton(3)
+        successors = [
+            target
+            for step in automaton.transitions(state)
+            for target in step.target.support
+        ]
+        assert successors
+        for target in successors:
+            for local in target.processes:
+                assert local is process_state(local.pc, local.u)
 
 
 #: Builds a state, then either hashes and pickles it (``dump``) or

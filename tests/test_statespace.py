@@ -34,8 +34,6 @@ from repro.contracts import guards as guards_module
 from repro.corpus.cases import (
     TINY_STATEMENT,
     broken_automaton,
-    noninvariant_orbit_spec,
-    tiny_automaton,
     zero_time,
 )
 from repro.errors import StateBudgetExceeded, VerificationError
@@ -456,23 +454,6 @@ class TestCompileCollector:
         finally:
             gc.enable()
 
-    def test_a_strict_violation_freezes_nothing(self):
-        # The quotient spot check fails the whole block; a violation
-        # while tabulating only sends its adversary to the tree walk.
-        strict = GuardConfig(mode=STRICT).validate()
-        with compile_scope():
-            engine = build_engine(
-                tiny_automaton(), [("first", _first_enabled())],
-                ("a",), lambda state: state == "c",
-                lambda state: Fraction(0), None, 10,
-                engine="batched", spec=noninvariant_orbit_spec(),
-                guards=strict,
-            )
-            assert type(engine) is TreeEngine
-            assert gc.get_freeze_count() == 0
-            assert gc.isenabled()
-            assert engine_module._scope.space is None
-
 
 class _Idle(MarkovRoundPolicy):
     """Halts at once: its table tabulates nothing."""
@@ -511,7 +492,7 @@ class TestDemandDrivenCompile:
         assert space.n_transitions == 18024
         assert all(kept is rep for kept, rep in zip(space.reps, reps))
         assert all(
-            space.state_id(rep) == state_id
+            space.intern(rep) == state_id
             for state_id, rep in enumerate(reps)
         )
 

@@ -50,6 +50,11 @@ around a command's space compile and freezes what it built until the
 command ends (``docs/statespace.md``), so collector state has one owner
 that restores it instead of scattered toggles that leak past a command.
 
+Nothing under ``src/repro/mdp/`` may import ``repro.statespace``: the
+exact recursions key their memo tables on the model's own untimed
+states, so a compiled space (or a quotient of it) never again decides
+an exact answer (``docs/statespace.md``).
+
 Likewise, importing a registered case study's algorithm package
 (``repro.algorithms.lehmann_rabin``, ``benor``, ``election`` or
 ``herman``) under ``src/`` is forbidden outside ``src/repro/models/``
@@ -276,6 +281,27 @@ def _switches_gc(node):
     return False
 
 
+def _is_mdp_module(path):
+    return Path(path).parts[-3:-1] == ("repro", "mdp")
+
+
+def _imports_statespace(node):
+    """True for imports of ``repro.statespace`` or its modules."""
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        modules = [module]
+        if module == "repro":
+            modules = [f"repro.{alias.name}" for alias in node.names]
+    else:
+        return False
+    return any(
+        module == "repro.statespace" or module.startswith("repro.statespace.")
+        for module in modules
+    )
+
+
 #: The algorithm packages behind the registered models.
 _CASE_STUDIES = ("lehmann_rabin", "benor", "election", "herman")
 
@@ -384,6 +410,15 @@ def banned_handlers(path):
                  "no numpy under src/ — the library runs on the "
                  "standard library alone")
             )
+    if _is_mdp_module(path):
+        for node in ast.walk(tree):
+            if _imports_statespace(node):
+                findings.append(
+                    (node.lineno,
+                     "repro.mdp must not import repro.statespace — the "
+                     "exact recursions key their memo tables on the "
+                     "model's untimed states, never on a compiled space")
+                )
     if not _may_import_algorithms(path):
         for node in ast.walk(tree):
             study = _imported_case_study(node)
