@@ -114,10 +114,6 @@ class ProcessState:
         """The shared state with a new program counter."""
         return _SHARED[pc._name_, self.u._name_]
 
-    def with_u(self, u: Side) -> "ProcessState":
-        """The shared state with a new side variable."""
-        return _SHARED[self.pc._name_, u._name_]
-
     def points(self, side: Side) -> bool:
         """True when the side variable matters and equals ``side``.
 

@@ -56,10 +56,11 @@ per-execution budgets; on healthy models ``warn`` output is
 byte-identical to ``off`` for every worker count, and strict-mode
 violations exit with the dedicated status 4 (see ``docs/contracts.md``).
 ``--engine {tree,batched,auto}`` selects the evaluation
-strategy — the historical tree walk, or tables of only the states the
-adversaries reach, flattened into arrays and sampled in uniform blocks
-— and ``--state-budget`` caps the compile; reports are byte-identical
-whichever engine ran (see ``docs/statespace.md``).  The sampling
+strategy — the historical tree walk, or one memoised execution tree
+per (adversary, start) pair — and ``--state-budget`` caps the starts a
+batched check interns and the product an exact value tabulates;
+reports are byte-identical whichever engine ran (see
+``docs/statespace.md``).  The sampling
 subcommands, ``audit``, and ``fuzz`` accept ``--model NAME`` to select
 a registered case study from :mod:`repro.models`; the default ``lr``
 is the paper's Lehmann-Rabin ring and reproduces the historical output
@@ -243,16 +244,17 @@ def _sampling_run(args: argparse.Namespace):
 
     Resolves the model (:func:`_resolve_model`), builds the
     fault-tolerance policy and the contract guards, and keeps the
-    policy's checkpoint and one compile scope open for the body: its
-    checks share a compiled space, released when the body ends
-    (:func:`repro.statespace.compile_scope`).  ``run`` holds the keyword
+    policy's checkpoint open for the body.  When the body ends, the
+    guard layer's validated-transition cache is emptied, so no
+    transition of the command outlives it.  ``run`` holds the keyword
     arguments every sampling call forwards unchanged.  The model, size,
     proposition, sample, worker, policy, guard and state-budget flags
     are checked here, before the command prints anything; ``repro
     submit`` runs the same checks.
     """
+    from repro.contracts import forget_validated_transitions
     from repro.parallel.pool import resolve_workers
-    from repro.statespace import compile_scope, resolve_state_budget
+    from repro.statespace import resolve_state_budget
 
     model = _resolve_model(args)
     if args.samples < 1:
@@ -269,8 +271,11 @@ def _sampling_run(args: argparse.Namespace):
     checkpoint = policy.checkpoint
     if checkpoint is None:
         checkpoint = nullcontext()
-    with checkpoint, compile_scope():
-        yield model, run
+    with checkpoint:
+        try:
+            yield model, run
+        finally:
+            forget_validated_transitions()
 
 
 def _lr_commands(args: argparse.Namespace):
@@ -876,20 +881,21 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("tree", "batched", "auto"),
         default="tree",
         help="evaluation strategy: 'tree' walks the live object "
-             "graph, 'batched' tabulates only the states the "
-             "adversary tables reach, flattens the tables into "
-             "arrays, and draws uniforms in blocks (errors when the "
-             "--state-budget is exceeded), "
-             "'auto' prefers the batched walk when the space fits "
-             "and falls back to the tree walk otherwise; reports are "
-             "byte-identical whichever engine ran "
+             "graph afresh per sample, 'batched' grows one memoised "
+             "execution tree per (adversary, start) pair and reuses "
+             "it across samples (errors when the --state-budget is "
+             "exceeded), 'auto' prefers the batched walk and falls "
+             "back to the tree walk when the budget is exceeded; "
+             "reports are byte-identical whichever engine ran "
              "(default: %(default)s; see docs/statespace.md)",
     )
     sampling.add_argument(
         "--state-budget", type=int, default=None, metavar="N",
         dest="state_budget",
-        help="cap on interned states (and per-adversary product "
-             "nodes) for --engine batched/auto (default: 200000)",
+        help="cap on the start states a --engine batched/auto "
+             "check interns, and on the states and per-adversary "
+             "product nodes an exact value tabulates (default: "
+             "200000)",
     )
     # verify, check, chain and expected-time default to 80 samples;
     # stats and sweep to 40.

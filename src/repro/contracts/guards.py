@@ -55,9 +55,8 @@ def reset_warnings() -> None:
 def forget_validated_transitions() -> None:
     """Empty the validated-distribution cache, releasing its transitions.
 
-    Called when a command's compile scope closes
-    (:func:`repro.statespace.compile_scope`), so one command's
-    transitions never outlive it.
+    Called when a sampling command ends (``repro.cli``), so one
+    command's transitions never outlive it.
     """
     _validated_transitions.clear()
 

@@ -155,9 +155,8 @@ def _fuel_case() -> CheckCase:
 
 
 def _budget_case() -> CheckCase:
-    # Herman's three canonical starts fill the budget; the fifo
-    # table's first coin flip interns a fourth class while tabulating.
-    return replace(cases.herman_case(), state_budget=3)
+    # Herman's three canonical starts overflow a budget of two.
+    return replace(cases.herman_case(), state_budget=2)
 
 
 def _crash_case() -> CheckCase:
@@ -314,11 +313,11 @@ BUILTIN_ENTRIES: Tuple[CorpusEntry, ...] = (
     CorpusEntry(
         name="state-budget-blown",
         description=(
-            "A three-state budget for Herman's n=3 ring, which its "
-            "three starts fill: the fifo table's first coin flip must "
-            "raise StateBudgetExceeded in every guard mode on the "
-            "compiling engine while tree (which never compiles) stays "
-            "clean."
+            "A two-state budget for Herman's n=3 ring, which its three "
+            "starts overflow: interning them must raise "
+            "StateBudgetExceeded in every guard mode on the batched "
+            "engine, before any task runs, while tree (which never "
+            "compiles) stays clean."
         ),
         expected_class="StateBudgetExceeded",
         expected_kind=None,

@@ -36,11 +36,16 @@ The induction memoises on ``(untimed state, stepped set, unfired
 watched actions, rounds left)``: optimal play depends on history only
 through that tuple, because the dynamics are time-invariant and coin
 outcomes are recorded in the state.  It runs on an explicit stack, so
-the horizon is not limited by the interpreter's recursion limit.
+the horizon is not limited by the interpreter's recursion limit, and
+with the cyclic collector paused: the memo is a large heap of small
+acyclic tuples that reference counting frees, which collections would
+only re-scan.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 from fractions import Fraction
 from typing import (
     Callable,
@@ -68,6 +73,23 @@ _ONE = Fraction(1)
 _NOBODY: FrozenSet = frozenset()
 
 
+def _collector_paused(func: Callable) -> Callable:
+    """Run ``func`` without cyclic collections, then restore the
+    collector's prior state; nothing is frozen."""
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+
+    return paused
+
+
 def round_moves(
     automaton: ProbabilisticAutomaton[State],
     view: ProcessView[State],
@@ -90,6 +112,7 @@ def round_moves(
     return steps, view.ready(state) <= stepped
 
 
+@_collector_paused
 def min_reach_probability_rounds(
     automaton: ProbabilisticAutomaton[State],
     view: ProcessView[State],
@@ -211,6 +234,7 @@ def min_reach_probability_rounds(
     return memo[root]
 
 
+@_collector_paused
 def min_reach_over_starts(
     automaton: ProbabilisticAutomaton[State],
     view: ProcessView[State],

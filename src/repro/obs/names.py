@@ -144,16 +144,8 @@ METRICS: Dict[str, Tuple[str, str]] = {
         "counter", "supervised workers restarted after unclean exits"),
     "statespace.compile_ms": (
         "histogram", "wall-clock milliseconds per state-space compile"),
-    "statespace.compile_reuses": (
-        "counter", "checks that reused their command's compiled space"),
-    "statespace.compiled_adversaries": (
-        "gauge", "adversaries tabulated into compiled decision tables"),
-    "statespace.flat_nodes": (
-        "gauge", "product nodes flattened into batched CSR arrays"),
     "statespace.states": (
-        "gauge", "state classes the command's compiled space interned"),
-    "statespace.transitions": (
-        "gauge", "transitions the command's compiled space tabulated"),
+        "gauge", "start-state classes a batched check interned"),
     "verifier.exact_pairs": (
         "counter", "(adversary, start) pairs checked exactly"),
     "verifier.pair_estimate": (

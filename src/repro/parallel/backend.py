@@ -72,9 +72,7 @@ class ArrowPairContext:
     early_stop: bool
     #: The evaluation engine (``repro.statespace.engine``), which also
     #: holds the automaton, the ``(name, adversary)`` pairs and the
-    #: start states the tasks index into.  Compiled tables and their
-    #: flat arrays ride here, fork-inherited, so workers never
-    #: recompile or reflatten.
+    #: start states the tasks index into.  Workers inherit it by fork.
     engine: Engine
     #: The schema the adversaries are declared to range over; used by the
     #: guard layer for membership and execution-closure spot checks.

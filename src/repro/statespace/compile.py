@@ -4,20 +4,18 @@ Every verification engine in this library ultimately walks the same
 object graph: rich state objects, memoised transition lists, and
 ``FiniteDistribution`` targets.  This module interns that graph's
 states to dense integer ids and tabulates each state's enabled steps,
-once and only when asked, as index arrays — exact ``Fraction``
-probabilities for the analytical engines plus precomputed float partial
-sums that replicate
-:meth:`repro.probability.space.FiniteDistribution.sample` bit-for-bit
-for the Monte-Carlo engine.  A sampled check asks only for the states
-its adversary tables reach; :meth:`CompiledSpace.explore` tabulates the
-whole reachable space for the tests that pin it.
+once and only when asked, as index arrays with exact ``Fraction``
+probabilities for the exact tables.  A batched check interns only its
+starts; an exact value asks for the states its adversary table
+reaches, and :meth:`CompiledSpace.explore` tabulates the whole
+reachable space for the tests that pin it.
 
 Timed automata are compiled *up to the clock*: a :class:`SpaceSpec`
 supplies a quotient key (``LRState.untimed()`` for Lehmann-Rabin) under
 which the dynamics must be invariant, and every compiled target records
-the exact time advance of that outcome.  Samplers then track elapsed
-time as a running ``Fraction`` instead of re-deriving it from state
-objects.
+the exact time advance of that outcome.  The exact tables then track
+elapsed time as a running ``Fraction`` instead of re-deriving it from
+state objects.
 
 Interning is budgeted: exceeding ``max_states`` raises the typed
 :class:`repro.errors.StateBudgetExceeded` so ``--engine batched`` can
@@ -46,11 +44,9 @@ from repro.contracts.config import GuardConfig
 from repro.contracts.guards import check_transition_distribution
 from repro.errors import StateBudgetExceeded
 
-#: Default cap on the state classes one command's space interns (and
-#: on product nodes per adversary table).  Only what the adversary
-#: tables reach is interned: 6,467 classes for the n=4 composed check,
-#: whose full reachable space is 71,524.  At n=5 a product table blows
-#: the cap first, so ``auto`` walks the tree instead of stalling.
+#: Default cap on the state classes one check's space interns (and on
+#: product nodes per adversary table).  A sampled check interns its
+#: starts alone; an exact table interns what it reaches.
 DEFAULT_STATE_BUDGET = 200_000
 
 _ZERO = Fraction(0)
@@ -101,20 +97,15 @@ class CompiledStep:
     """One tabulated step: a transition lowered to index arrays.
 
     ``targets[i]`` is the interned id of the ``i``-th outcome, in the
-    target distribution's insertion order; ``cum[i]`` is the running
-    float sum of the first ``i+1`` weights, accumulated left to right
-    exactly as ``FiniteDistribution.sample`` does, so one uniform draw
-    against ``cum`` lands on the same outcome the tree walk would pick;
-    ``weights`` keeps the exact probabilities for the analytical
-    engines; ``deltas[i]`` is the exact clock advance of outcome ``i``.
-    ``transition`` retains the source object for identity matching
-    against adversary decisions.
+    target distribution's insertion order; ``weights[i]`` is its exact
+    probability; ``deltas[i]`` is the exact clock advance of outcome
+    ``i``.  ``transition`` retains the source object for identity
+    matching against adversary decisions.
     """
 
     transition: Transition
     action: object
     targets: Tuple[int, ...]
-    cum: Tuple[float, ...]
     weights: Tuple[Fraction, ...]
     deltas: Tuple[Fraction, ...]
 
@@ -211,14 +202,10 @@ class CompiledSpace:
             if checking:
                 check_transition_distribution(guards, transition, cache=False)
             targets: List[int] = []
-            cum: List[float] = []
             weights: List[Fraction] = []
             deltas: List[Fraction] = []
-            running = 0.0
             for point, weight in transition.target.items():
                 targets.append(intern(point))
-                running += float(weight)
-                cum.append(running)
                 weights.append(weight)
                 # Only time passage moves the clock; every other step
                 # hands its targets the source's clock object.
@@ -233,7 +220,6 @@ class CompiledSpace:
                     transition=transition,
                     action=transition.action,
                     targets=tuple(targets),
-                    cum=tuple(cum),
                     weights=tuple(weights),
                     deltas=tuple(deltas),
                 )

@@ -10,45 +10,34 @@ all three:
   growing a fresh fragment per sample.  It is the reference oracle, and
   the engine of ``--fuel`` and of exact trees of adversaries that did
   not tabulate.
-* :class:`BatchedEngine` has two sampling walks.  The flat walk reads
-  the interned tables of :mod:`repro.statespace.compile` /
-  :mod:`repro.statespace.product` flattened into CSR parallel arrays
-  (:mod:`repro.statespace.arrays`), drawing uniforms from
-  ``rng.random()`` in blocks and fast-forwarding memoised deterministic
-  runs.  The history walk serves the adversaries that could not be
-  tabulated (history-dependent, e.g. coin-peeking, policies): it walks
+* :class:`BatchedEngine` samples every pair through its history walk:
   the pair's execution automaton H(M, A, s) as a tree of fragments
-  grown on demand, asking the adversary once per fragment.
+  grown on demand, asking the adversary once per fragment and reusing
+  every fragment an earlier sample reached.  Its exact values read the
+  interned tables of :mod:`repro.statespace.compile` /
+  :mod:`repro.statespace.product`, tabulated per adversary on demand.
 
-All walks consume the *identical* randomness per sample — one uniform
+Both walks consume the *identical* randomness per sample — one uniform
 draw per step, resolved against float partial sums accumulated exactly
-as ``FiniteDistribution.sample`` accumulates them; the flat walk merely
-fetches those same floats ahead of time — so reports are byte-identical
-whichever engine ran, for every seed, guard mode, and worker count.
-The factory :func:`build_engine` implements the
+as ``FiniteDistribution.sample`` accumulates them — so reports are
+byte-identical whichever engine ran, for every seed, guard mode, and
+worker count.  The factory :func:`build_engine` implements the
 ``--engine {tree,batched,auto}`` selection rules: ``batched``
 propagates :class:`~repro.errors.StateBudgetExceeded`, ``auto`` prefers
 the batched engine and silently falls back to the tree walk when the
-compile fails.
+budget is blown.
 """
 
 from __future__ import annotations
 
 import abc
-import gc
-import weakref
-from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.automaton.automaton import ProbabilisticAutomaton
 from repro.automaton.execution import ExecutionFragment
-from repro.contracts import (
-    OFF_CONFIG,
-    GuardConfig,
-    forget_validated_transitions,
-)
+from repro.contracts import OFF_CONFIG, GuardConfig
 from repro.contracts.guards import check_chosen_step
 from repro.errors import StateBudgetExceeded, VerificationError
 from repro.events.reach import EventuallyReach, ReachWithinTime
@@ -58,7 +47,6 @@ from repro.execution.automaton import ExecutionAutomaton
 from repro.execution.measure import EventBounds, event_probability_bounds
 from repro.execution.sampler import SampleResult
 from repro.probability.space import as_fraction
-from repro.statespace.arrays import FlatTable, UniformSource, flatten_table
 from repro.statespace.compile import (
     DEFAULT_STATE_BUDGET,
     IDENTITY_SPEC,
@@ -102,9 +90,9 @@ class Engine(abc.ABC):
     the three operations below index into those sequences.  An engine
     samples each pair through one walk: ``sample`` reads its verdict,
     and ``time_to_target`` runs it under plain reachability and reads
-    the elapsed time at its first hit.  Engines ride the fork-inherited task
-    contexts of :mod:`repro.parallel.backend`, so pooled workers reuse
-    the parent's compiled tables and never recompile.
+    the elapsed time at its first hit.  Engines ride the fork-inherited
+    task contexts of :mod:`repro.parallel.backend`, so pooled workers
+    inherit the parent's engine.
     """
 
     #: Short strategy label ("tree" / "batched").
@@ -114,11 +102,7 @@ class Engine(abc.ABC):
     def sample(
         self, adversary_index: int, start_index: int, rng
     ) -> SampleResult:
-        """One Monte-Carlo sample of the pair's reach-within-time event.
-
-        ``final`` is ``None`` when the engine never materialised the
-        execution fragment (the batched flat walk).
-        """
+        """One Monte-Carlo sample of the pair's reach-within-time event."""
 
     @abc.abstractmethod
     def time_to_target(
@@ -369,30 +353,23 @@ class _HistoryTree:
 
 
 class BatchedEngine(Engine):
-    """Flat-array evaluation drawing uniforms in blocks.
+    """Samples every pair through its memoised execution automaton.
 
-    The fast path: the per-adversary tables are flattened into the CSR
-    parallel arrays of :mod:`repro.statespace.arrays`, uniforms are
-    fetched block-at-a-time per sampling stream (one
-    :class:`UniformSource` per ``random.Random``, keyed weakly and
-    reading its stream through a weak proxy, so a finished stream frees
-    its buffer; only the latest stream is held strongly), and memoised
-    deterministic runs are fast-forwarded in O(1).  One walk,
-    :meth:`_sample_flat`, serves both ``sample`` and
-    ``time_to_target``.  Every consumed uniform is exactly the float
+    ``sample`` and ``time_to_target`` walk a :class:`_HistoryTree` of
+    the running pair, H(M, A, s) as a tree of fragments grown on
+    demand, which draws straight from the pair's ``random.Random``, one
+    uniform per step.  Every consumed uniform is exactly the float
     :mod:`repro.execution.sampler` would have drawn at that point, so
     verdicts, step counts, elapsed times and metric totals are
-    byte-identical to :class:`TreeEngine`.
+    byte-identical to :class:`TreeEngine`.  Only the running pair's
+    tree is held; forked workers grow their own.
 
-    Adversaries that did not tabulate (``None`` in ``tables``) take the
-    history walk instead: a :class:`_HistoryTree` of the running pair,
-    which draws straight from the pair's ``random.Random``, one uniform
-    per step.  Sources buffer *ahead* of the generator, which is safe
-    because each stream is private to one task and every sample of a
-    pair takes the same walk.  Only the running pair's tree is held,
-    as only the latest stream's source is; forked workers grow their
-    own.  ``exact_reach`` of an untabulated adversary still runs the
-    embedded ``tree`` engine.
+    ``exact_reach`` runs a dynamic programme over the adversary's
+    product table, which its first call for that adversary tabulates
+    over ``space`` under ``budget``.  An adversary that does not
+    tabulate (history-dependent, such as the coin-peeking ``hashed-*``
+    ones) takes the embedded ``tree`` engine's exact walk, as does,
+    under ``auto`` (``fallback``), one whose table blows the budget.
     """
 
     name = "batched"
@@ -400,62 +377,27 @@ class BatchedEngine(Engine):
     def __init__(
         self,
         tree: TreeEngine,
-        tables: Tuple[Optional[AdversaryTable], ...],
-        flags: List[bool],
+        space: CompiledSpace,
+        budget: int,
+        fallback: bool,
     ):
         self.tree = tree
         self.automaton = tree.automaton
         self.adversaries = tree.adversaries
         self.start_states = tree.start_states
-        self.tables = tables
-        self.flags = flags
+        self.space = space
+        self.budget = budget
+        self.fallback = fallback
         self._bound = (
             None
             if tree.time_bound is None
             else as_fraction(tree.time_bound)
         )
-        self.flat_tables: Tuple[Optional[FlatTable], ...] = tuple(
-            flatten_table(table, flags) for table in tables
-        )
-        self._sources: "weakref.WeakKeyDictionary" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._last_rng = None
-        self._last_source: Optional[UniformSource] = None
-        # Per-table integer time-bound thresholds (see FlatTable
-        # .scale_bound); index-aligned with flat_tables.
-        self._ibounds: Tuple[Optional[int], ...] = tuple(
-            None if flat is None else flat.scale_bound(self._bound)
-            for flat in self.flat_tables
-        )
         # Time-to-target reads the walk under plain reachability.
         self._reach = EventuallyReach(tree.target)
         self._history: Optional[_HistoryTree] = None
-
-    @property
-    def compiled_adversaries(self) -> int:
-        """How many adversaries were tabulated (rest use the tree)."""
-        return sum(1 for table in self.tables if table is not None)
-
-    @property
-    def flat_nodes(self) -> int:
-        """Total product nodes across all flattened tables."""
-        return sum(
-            flat.n_nodes for flat in self.flat_tables if flat is not None
-        )
-
-    def _source_for(self, rng) -> UniformSource:
-        if rng is self._last_rng:
-            return self._last_source
-        source = self._sources.get(rng)
-        if source is None:
-            # A strong reference from the value would keep the weak key
-            # alive for the engine's lifetime.
-            source = UniformSource(weakref.proxy(rng))
-            self._sources[rng] = source
-        self._last_rng = rng
-        self._last_source = source
-        return source
+        self._tables: Dict[int, Optional[AdversaryTable]] = {}
+        self._flags: List[bool] = []
 
     def _history_for(
         self, schema: EventSchema, adversary_index: int, start_index: int
@@ -483,19 +425,9 @@ class BatchedEngine(Engine):
     def sample(
         self, adversary_index: int, start_index: int, rng
     ) -> SampleResult:
-        flat = self.flat_tables[adversary_index]
-        if flat is None:
-            result = self._history_for(
-                self.tree._schema, adversary_index, start_index
-            ).walk(rng)
-        else:
-            verdict, steps, _ = self._sample_flat(
-                flat,
-                flat.start_nodes[start_index],
-                rng,
-                self._ibounds[adversary_index],
-            )
-            result = SampleResult(verdict, steps, None)
+        result = self._history_for(
+            self.tree._schema, adversary_index, start_index
+        ).walk(rng)
         if obs.enabled():
             sampler._record_event_sample(result)
         return result
@@ -503,141 +435,47 @@ class BatchedEngine(Engine):
     def time_to_target(
         self, adversary_index: int, start_index: int, rng
     ) -> Optional[Fraction]:
-        flat = self.flat_tables[adversary_index]
-        if flat is None:
-            walked = self._history_for(
-                self._reach, adversary_index, start_index
-            ).walk(rng)
-            steps = walked.steps
-            time_of = self.tree.time_of
-            result = (
-                time_of(walked.final.lstate)
-                - time_of(self.start_states[start_index])
-                if walked.verdict
-                else None
-            )
-        else:
-            verdict, steps, elapsed = self._sample_flat(
-                flat, flat.start_nodes[start_index], rng, None
-            )
-            # The scaled integer converts to the identical Fraction the
-            # tree walk's Fraction sums produce (Fraction(e, d)
-            # normalises).
-            result = Fraction(elapsed, flat.denominator) if verdict else None
+        walked = self._history_for(
+            self._reach, adversary_index, start_index
+        ).walk(rng)
+        time_of = self.tree.time_of
+        result = (
+            time_of(walked.final.lstate)
+            - time_of(self.start_states[start_index])
+            if walked.verdict
+            else None
+        )
         if obs.enabled():
-            sampler._record_time_sample(result, steps)
+            sampler._record_time_sample(result, walked.steps)
         return result
 
-    def _sample_flat(
-        self, flat: FlatTable, node: int, rng, bound: Optional[int]
-    ) -> Tuple[Optional[bool], int, int]:
-        """The flat walk: ``(verdict, steps, scaled elapsed)``.
+    def _table_for(self, adversary_index: int) -> Optional[AdversaryTable]:
+        """The adversary's product table, tabulated on first use.
 
-        Mirrors :mod:`repro.execution.sampler`'s tree walk: the same
-        decision order per step (bound-reject, target-accept, horizon,
-        halt, draw), the same single uniform draw per step resolved
-        against identically accumulated partial sums, and the same
-        ``adversary.*`` totals — only the data representation differs,
-        and guard checks already ran at compile time so they consume
-        nothing here.  With ``bound`` ``None`` this is the walk under
-        ``EventuallyReach`` that time-to-target reads at its first hit.
-        Elapsed time is tracked as a scaled integer against the
-        pre-scaled ``bound`` threshold (exact, see
-        ``FlatTable.scale_bound``).  The chain fast-path advances
-        ``run`` steps at once only when ``elapsed + skip_total``
-        provably stays within the bound (run deltas are nonnegative, so
-        every prefix does too) and the run fits the horizon — otherwise
-        it truncates at the horizon (interior nodes are never flagged,
-        and prefix elapsed cannot exceed the already-checked total, so
-        the sampler's final-iteration checks are provably no-ops)
-        or falls back to one stepwise move and re-examines.
+        ``None`` sends the adversary to the tree's exact walk: it does
+        not tabulate, or, under ``auto``, its table blew the budget.
         """
-        max_steps = self.tree.max_steps
-        offsets = flat.offsets
-        targets = flat.targets
-        cum = flat.cum
-        ideltas = flat.ideltas
-        node_flag = flat.node_flag
-        halt = flat.halt
-        skip_steps = flat.skip_steps
-        skip_to = flat.skip_to
-        skip_total = flat.skip_total
-        source = self._source_for(rng)
-        data = source.data
-        pos = source.pos
-        size = len(data)
-        obs_on = obs.enabled()
-        elapsed = 0
-        verdict: Optional[bool] = None
-        steps_taken = 0
-        decisions = 0
-        halts = 0
-        while True:
-            if bound is not None and elapsed > bound:
-                verdict = False
-                break
-            if node_flag[node]:
-                verdict = True
-                break
-            if steps_taken == max_steps:
-                break
-            run = skip_steps[node]
-            if run:
-                total = skip_total[node]
-                if bound is None or elapsed + total <= bound:
-                    remaining = max_steps - steps_taken
-                    take = run if run <= remaining else remaining
-                    decisions += take
-                    steps_taken += take
-                    new_pos = pos + take
-                    if new_pos <= size:
-                        pos = new_pos
-                    else:
-                        source.pos = size
-                        source.skip(new_pos - size)
-                        data = source.data
-                        pos = source.pos
-                        size = len(data)
-                    if run > remaining:
-                        # Horizon hit mid-run at an interior (unflagged)
-                        # node with prefix elapsed within the bound.
-                        break
-                    elapsed += total
-                    node = skip_to[node]
-                    continue
-            decisions += 1
-            if halt[node]:
-                halts += 1
-                verdict = False
-                break
-            if pos == size:
-                data = source.refill()
-                pos = 0
-                size = len(data)
-            threshold = data[pos]
-            pos += 1
-            lo = offsets[node]
-            index = offsets[node + 1] - 1
-            while lo < index:
-                if threshold < cum[lo]:
-                    index = lo
-                    break
-                lo += 1
-            elapsed += ideltas[index]
-            node = targets[index]
-            steps_taken += 1
-        source.pos = pos
-        if obs_on:
-            if decisions:
-                obs.incr("adversary.decisions", decisions)
-            if halts:
-                obs.incr("adversary.halts", halts)
-        return verdict, steps_taken, elapsed
+        if adversary_index in self._tables:
+            return self._tables[adversary_index]
+        _, adversary = self.adversaries[adversary_index]
+        try:
+            table = compile_adversary(
+                self.space, adversary, self.start_states,
+                max_nodes=self.budget,
+            )
+        except StateBudgetExceeded:
+            if not self.fallback:
+                raise
+            table = None
+        if table is not None:
+            self._flags = self.space.flags(self.tree.target)
+        self._tables[adversary_index] = table
+        return table
 
     def exact_reach(
         self, adversary_index: int, start_index: int, max_steps: int
     ) -> EventBounds:
-        table = self.tables[adversary_index]
+        table = self._table_for(adversary_index)
         if table is None:
             return self.tree.exact_reach(adversary_index, start_index, max_steps)
         if max_steps < 0:
@@ -655,15 +493,15 @@ class BatchedEngine(Engine):
         """(accepted, undecided) masses, mirroring the exact tree walk.
 
         Dynamic programming over (node, elapsed, remaining) with exact
-        ``Fraction`` arithmetic on the unflattened table; rational
-        addition is associative, so factoring shared subtrees leaves
-        both masses exactly equal to the per-path sums
+        ``Fraction`` arithmetic on the table; rational addition is
+        associative, so factoring shared subtrees leaves both masses
+        exactly equal to the per-path sums
         :func:`event_probability_bounds` computes.  The decision order
         per node mirrors the tree walk: classify (time-reject before
         target-accept), then adversary halt, then horizon.
         """
         bound = self._bound
-        flags = self.flags
+        flags = self._flags
         node_state = table.node_state
         choice_targets = table.choice_targets
         choice_weights = table.choice_weights
@@ -714,108 +552,6 @@ class BatchedEngine(Engine):
         return memo[(root, _ZERO, max_steps)]
 
 
-class _SpaceScope:
-    """The compiled space one command keeps for its next check."""
-
-    __slots__ = ("key", "space", "froze")
-
-    def __init__(self) -> None:
-        self.key: Optional[tuple] = None
-        self.space: Optional[CompiledSpace] = None
-        self.froze = False
-
-
-#: The running command's scope; ``None`` outside :func:`compile_scope`.
-#: Process-global like the obs registry: the checks run several calls
-#: below the command, and a process runs one command at a time.
-_scope: Optional[_SpaceScope] = None
-
-
-@contextmanager
-def compile_scope() -> Iterator[None]:
-    """Let the checks of one command share a compiled space.
-
-    Inside the block, :func:`build_engine` reuses the space of the
-    previous check when the automaton is the same object and the spec,
-    guard config and budget are equal; the check's adversary tables
-    intern its starts into that space and tabulate what they reach, so
-    the space grows and no outcome changes.  Each check's compile block
-    (space, tables, flags) runs with the cyclic collector paused and,
-    once it succeeds, is frozen out of later collections; a block that
-    fails leaves the scope empty.  The scope holds at most one space,
-    and nothing outlives the block: not the space, not the freeze, not
-    the guard layer's validated-transition cache (``docs/statespace.md``,
-    "Compile once per command").
-    """
-    global _scope
-    outer = _scope
-    scope = _scope = _SpaceScope()
-    try:
-        yield
-    finally:
-        _scope = outer
-        if scope.froze:
-            gc.unfreeze()
-        forget_validated_transitions()
-
-
-@contextmanager
-def _compiling() -> Iterator[None]:
-    """One check's compile block, run outside the cyclic collector.
-
-    Inside a scope the block runs with the collector paused: the space,
-    tables and flags form a large acyclic heap that reference counting
-    alone frees, which full collections would only re-scan.  A block
-    that succeeds is then ``gc.freeze()``d; one that raises freezes
-    nothing and drops the scope's space, so reference counting frees a
-    partial space as the error is handled.
-    """
-    scope = _scope
-    if scope is None:
-        yield
-        return
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    except BaseException:
-        scope.key = scope.space = None
-        raise
-    else:
-        gc.freeze()
-        scope.froze = True
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _space_for(
-    automaton: ProbabilisticAutomaton,
-    starts: Tuple[object, ...],
-    spec: SpaceSpec,
-    budget: int,
-    guards: Optional[GuardConfig],
-) -> CompiledSpace:
-    """The command's space when the key matches, else a compile."""
-    scope = _scope
-    if scope is None:
-        return compile_space(
-            automaton, starts, spec, max_states=budget, guards=guards
-        )
-    key = (spec, guards, budget)
-    held = scope.space
-    if held is not None and held.automaton is automaton and scope.key == key:
-        obs.incr("statespace.compile_reuses")
-        return held
-    # Drop it first, so a miss never holds two spaces at once.
-    scope.key = scope.space = None
-    space = compile_space(
-        automaton, starts, spec, max_states=budget, guards=guards
-    )
-    scope.key, scope.space = key, space
-    return space
-
-
 def build_engine(
     automaton: ProbabilisticAutomaton,
     adversaries: Sequence[Tuple[str, object]],
@@ -835,23 +571,20 @@ def build_engine(
     Selection rules:
 
     * ``tree`` — always the tree walk.
-    * ``batched`` — compile or die: a blown state budget propagates as
-      :class:`StateBudgetExceeded`; ``--fuel`` is refused (fuel
-      accounting is inherently per-fragment).  The compiled tables are
-      then walked as flattened arrays.
-    * ``auto`` — prefer the batched engine when everything fits the
-      budget and guards permit, else silently use the tree walk.
+    * ``batched`` — the history walk: the check's starts are interned
+      into a fresh space, and a blown state budget, there or in an
+      exact table, propagates as :class:`StateBudgetExceeded`;
+      ``--fuel`` is refused (fuel accounting belongs to the tree walk).
+    * ``auto`` — as ``batched``, but a blown budget or ``--fuel``
+      silently selects the tree walk instead.
 
-    Inside :func:`compile_scope` the space comes from the previous
-    check when the key matches, and grows.  The space tabulates only
-    the states the adversary tables reach, and nothing tabulates once
-    this returns (forked workers share the space read-only).
-
-    A strict-mode :class:`ContractViolation` raised while tabulating
-    sends only the adversaries that reach it to the history walk, which
-    re-detects the identical violation per pair and quarantines it
-    exactly as the tree walk does — keeping strict-mode reports
-    byte-identical across engines even on broken models.
+    Sampling tabulates nothing: the space holds the starts until an
+    exact value tabulates an adversary's product into it
+    (:meth:`BatchedEngine.exact_reach`).  A strict-mode
+    :class:`ContractViolation` is detected per pair by the history
+    walk and quarantined exactly as the tree walk does, keeping
+    strict-mode reports byte-identical across engines even on broken
+    models.
     """
     resolve_engine_name(engine)
     resolve_state_budget(state_budget)
@@ -874,8 +607,7 @@ def build_engine(
         if engine != "auto":
             raise VerificationError(
                 f"--engine {engine} is incompatible with --fuel: fuel is "
-                "accounted per execution fragment, which compiled "
-                "sampling never materialises; use --engine tree"
+                "accounted by the tree walk alone; use --engine tree"
             )
         return tree
     budget = DEFAULT_STATE_BUDGET if state_budget is None else state_budget
@@ -885,30 +617,18 @@ def build_engine(
             engine=engine,
             budget=budget,
             adversaries=len(tree.adversaries),
-        ), _compiling():
-            space = _space_for(
+        ):
+            space = compile_space(
                 automaton,
                 tree.start_states,
                 spec if spec is not None else IDENTITY_SPEC,
-                budget,
-                guards,
+                max_states=budget,
+                guards=guards,
             )
-            tables = tuple(
-                compile_adversary(
-                    space, adversary, tree.start_states, max_nodes=budget
-                )
-                for _, adversary in tree.adversaries
-            )
-            if obs.enabled():
-                obs.gauge("statespace.states", space.n_states)
-                obs.gauge("statespace.transitions", space.n_transitions)
-            flags = space.flags(target)
     except StateBudgetExceeded:
         if engine != "auto":
             raise
         return tree
-    batched = BatchedEngine(tree, tables, flags)
     if obs.enabled():
-        obs.gauge("statespace.compiled_adversaries", batched.compiled_adversaries)
-        obs.gauge("statespace.flat_nodes", batched.flat_nodes)
-    return batched
+        obs.gauge("statespace.states", space.n_states)
+    return BatchedEngine(tree, space, budget, fallback=engine == "auto")

@@ -5,19 +5,15 @@ A deterministic Unit-Time adversary built from a
 the set of processes that already stepped this round plus (a bounded
 view of) the completed-round count.  This module explores the product of
 a :class:`~repro.statespace.compile.CompiledSpace` with that memory once
-per adversary, producing flat per-node arrays: the chosen step's target
-ids, float cumulative weights, exact probabilities, and clock advances.
-Sampling an execution then costs one uniform draw and a few list
-indexings per step — no fragments, no hashing of rich state objects, no
-re-running the policy.
+per adversary, producing per-node arrays: the chosen step's target ids,
+exact probabilities, and clock advances.  The batched engine's
+``exact_reach`` runs its dynamic programme over them; no sampling walk
+reads them.
 
 History-dependent adversaries (anything whose policy is not a
 ``MarkovRoundPolicy``, e.g. the coin-peeking hashed-random family) are
-reported as uncompilable by returning ``None``; the batched engine
-samples those adversaries only through its history walk, a memoised
-tree of their execution fragments, which preserves byte-identical
-reports because every (adversary, start) pair's outcome is a pure
-function of its derived seed under every walk.
+reported as uncompilable by returning ``None``; their exact values then
+come from the tree engine's exact walk.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ class AdversaryTable:
         "start_nodes",
         "node_state",
         "choice_targets",
-        "choice_cum",
         "choice_weights",
         "choice_deltas",
     )
@@ -64,7 +59,6 @@ class AdversaryTable:
         self.start_nodes: List[int] = []
         self.node_state: List[int] = []
         self.choice_targets: List[Optional[Tuple[int, ...]]] = []
-        self.choice_cum: List[Tuple[float, ...]] = []
         self.choice_weights: List[Tuple[Fraction, ...]] = []
         self.choice_deltas: List[Tuple[Fraction, ...]] = []
 
@@ -89,8 +83,8 @@ def compile_adversary(
     adversaries outside the compilable class (non-round-based,
     history-dependent policies) and for adversaries whose policy raises,
     or whose reached steps violate a strict guard, while being
-    tabulated — the batched engine's history walk then reproduces the
-    identical raise (or quarantine) lazily at sample time.  Budget
+    tabulated — the tree engine's exact walk then reproduces the
+    identical raise.  Budget
     overruns, of the space's states or of ``max_nodes`` product nodes,
     raise :class:`StateBudgetExceeded`.
     """
@@ -184,16 +178,14 @@ def compile_adversary(
         raise
     except (AdversaryError, ContractViolation):
         # The policy misbehaved, or a step it reaches broke a strict
-        # guard while being tabulated.  The history walk hits the
-        # identical condition on its first sample of this adversary and
-        # reports it through the existing guard/quarantine machinery.
+        # guard while being tabulated.  The tree engine's exact walk
+        # hits the identical condition and reports it.
         return None
     return table
 
 
 def _append_halt(table: AdversaryTable) -> None:
     table.choice_targets.append(None)
-    table.choice_cum.append(())
     table.choice_weights.append(())
     table.choice_deltas.append(())
 
@@ -202,7 +194,6 @@ def _append_choice(table, intern, step: CompiledStep, stepped, rounds) -> None:
     table.choice_targets.append(
         tuple(intern((target, stepped, rounds)) for target in step.targets)
     )
-    table.choice_cum.append(step.cum)
     table.choice_weights.append(step.weights)
     table.choice_deltas.append(step.deltas)
 
@@ -232,7 +223,7 @@ def _match_step(
         # Two distinct enabled transitions compare equal: picking either
         # could disagree with the step the tree walk schedules, breaking
         # byte-identity.  Refuse to tabulate; compile_adversary returns
-        # None and the pair samples through the history walk instead.
+        # None and the pair's exact value takes the tree walk instead.
         raise AdversaryError(
             f"policy scheduled {move.action!r}, which matches "
             f"{len(matched)} distinct-but-equal compiled steps of "

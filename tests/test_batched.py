@@ -8,7 +8,7 @@ Two concerns share these fixtures:
 * the cross-engine byte-identity matrix — ``check`` / ``verify`` /
   ``expected-time`` stdout must be identical for
   tree == batched == auto across workers x guards — and the batched
-  engine's history walk for the adversaries that do not tabulate.
+  engine's history walk, which samples every adversary.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -41,7 +42,6 @@ from repro.parallel import fork_available
 from repro.parallel.seeds import rng_from_seed
 from repro.statespace import (
     BatchedEngine,
-    UniformSource,
     build_engine,
     compile_adversary,
     compile_space,
@@ -178,37 +178,13 @@ class TestAmbiguousMatch:
 
 
 # ---------------------------------------------------------------------------
-# Batched sampling: uniform sources and engine-level byte identity
+# Batched sampling: engine-level byte identity
 # ---------------------------------------------------------------------------
 
 
-class TestUniformSource:
-    @staticmethod
-    def _reference(seed, count):
-        rng = rng_from_seed(seed)
-        return [rng.random() for _ in range(count)]
-
-    def test_pure_block_matches_python_stream(self):
-        reference = self._reference(9, 300)
-        source = UniformSource(rng_from_seed(9), block=300)
-        assert source.refill() == reference
-
-    def test_skip_discards_exactly(self):
-        reference = self._reference(4, 500)
-        source = UniformSource(rng_from_seed(4), block=100)
-        data = source.refill()
-        first = data[0]
-        source.pos = 1
-        source.skip(250)  # crosses two block boundaries
-        data = source.refill()
-        assert first == reference[0]
-        assert data[0] == reference[251]
-
-
 def _hashed4_engine(statement) -> BatchedEngine:
-    """The n=4 composed check's batched engine for the ``hashed-*``
-    adversaries alone; none tabulates, so every pair takes the history
-    walk."""
+    """The n=4 composed check's batched engine for the coin-peeking
+    ``hashed-*`` adversaries alone."""
     setup = get_model("lr").build(4)
     hashed = replace(setup, adversaries=tuple(
         (name, adversary)
@@ -217,7 +193,6 @@ def _hashed4_engine(statement) -> BatchedEngine:
     ))
     engine = build_for(hashed, statement, engine="batched")
     assert len(engine.adversaries) == 3
-    assert engine.compiled_adversaries == 0
     return engine
 
 
@@ -232,13 +207,11 @@ class TestBatchedByteIdentity:
     def _engines(self, setup3, statement, hashed4):
         """``(tree, batched)``: the n=3 family, then n=4 ``hashed-*``."""
         batched = build_for(setup3, statement, engine="batched")
-        assert None in batched.flat_tables, "no n=3 adversary untabulated"
         return [(batched.tree, batched), (hashed4.tree, hashed4)]
 
     def test_sample_stream_identical(self, setup3, statement, hashed4):
         for tree, batched in self._engines(setup3, statement, hashed4):
             for adversary_index in range(len(batched.adversaries)):
-                history = batched.flat_tables[adversary_index] is None
                 for start_index in range(len(batched.start_states)):
                     streams = []
                     for engine in (tree, batched):
@@ -246,11 +219,7 @@ class TestBatchedByteIdentity:
                             31 + adversary_index + 10 * start_index
                         )
                         streams.append([
-                            (
-                                result.verdict,
-                                result.steps,
-                                result.final if history else None,
-                            )
+                            (result.verdict, result.steps, result.final)
                             for result in (
                                 engine.sample(adversary_index, start_index, rng)
                                 for _ in range(40)
@@ -277,16 +246,19 @@ class TestBatchedByteIdentity:
 
     def test_finished_streams_are_released(self, setup3, statement):
         # Each task samples from its own generator and drops it; the
-        # engine keeps a buffer for the latest stream only.
+        # engine keeps no reference to a stream between calls.
         batched = build_for(setup3, statement, engine="batched")
-        assert batched.flat_tables[0] is not None
+        streams = []
         for seed in range(6):
-            batched.sample(0, 0, rng_from_seed(seed))
-            batched.time_to_target(0, 0, rng_from_seed(100 + seed))
-        assert len(batched._sources) <= 1
+            rng = rng_from_seed(seed)
+            batched.sample(0, 0, rng)
+            batched.time_to_target(0, 0, rng)
+            streams.append(weakref.ref(rng))
+        del rng
+        assert all(stream() is None for stream in streams)
 
     def test_batched_without_bound(self, setup3, statement):
-        # The unbounded-time regression, on the flat walker too.
+        # The unbounded-time regression, on the history walk too.
         batched = build_for(
             setup3, statement, time_bound=None, engine="batched"
         )
@@ -295,31 +267,6 @@ class TestBatchedByteIdentity:
             got = batched.sample(0, 0, rng_from_seed(seed))
             want = tree.sample(0, 0, rng_from_seed(seed))
             assert (got.verdict, got.steps) == (want.verdict, want.steps)
-
-    def test_flat_chain_arrays_are_consistent(self, setup3, statement):
-        batched = build_for(setup3, statement, engine="batched")
-        flats = [flat for flat in batched.flat_tables if flat is not None]
-        assert flats, "no adversary flattened"
-        for flat in flats:
-            assert len(flat.offsets) == flat.n_nodes + 1
-            assert len(flat.targets) == len(flat.cum) == len(flat.ideltas)
-            for node in range(flat.n_nodes):
-                run = flat.skip_steps[node]
-                if not run:
-                    continue
-                # Replaying the run stepwise must land on skip_to with
-                # the memoised total and cross only single-outcome,
-                # unflagged, non-halt interior nodes.
-                cursor, total = node, 0
-                for _ in range(run):
-                    assert not flat.node_flag[cursor]
-                    assert not flat.halt[cursor]
-                    lo, hi = flat.offsets[cursor], flat.offsets[cursor + 1]
-                    assert hi - lo == 1
-                    total += flat.ideltas[lo]
-                    cursor = flat.targets[lo]
-                assert cursor == flat.skip_to[node]
-                assert total == flat.skip_total[node]
 
 
 def _metric_totals(argv):
@@ -341,7 +288,7 @@ def _live_history_trees():
 
 
 class TestHistoryWalk:
-    """Untabulated adversaries sample through one memoised tree per pair."""
+    """Every adversary samples through one memoised tree per pair."""
 
     def test_verify_records_the_tree_walks_totals(self, capsys):
         totals = {
@@ -367,7 +314,7 @@ class TestHistoryWalk:
 
 
 def test_batched_check_never_imports_numpy(tmp_path):
-    # The block filler is pure python: a batched run, and everything
+    # The history walk is pure python: a batched run, and everything
     # ``import repro`` pulls in, leave numpy unloaded.
     script = (
         "import sys\n"
@@ -400,6 +347,27 @@ CLI_ENGINES = ("tree", "batched", "auto")
 def _run_cli(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
+
+
+class TestNoFiniteProduct:
+    """``--engine batched`` tabulates no product to sample, so a check
+    whose product would blow the state budget runs as under the tree."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--model", "lr", "--n", "5", "--samples", "4"],
+        ["verify", "--model", "benor", "--samples", "8",
+         "--state-budget", "20000"],
+    ], ids=["lr-n5-check", "benor-verify"])
+    def test_batched_matches_tree(self, capsys, argv):
+        runs = {
+            engine: _run_cli(capsys, argv + [
+                "--engine", engine, "--seed", "0", "--no-manifest",
+            ])
+            for engine in ("tree", "batched")
+        }
+        assert runs["tree"][0] == 0
+        assert runs["tree"][1].strip(), "empty stdout"
+        assert runs["batched"] == runs["tree"]
 
 
 class TestCliBackendMatrix:

@@ -40,7 +40,7 @@ from repro.automaton.automaton import (
 from repro.automaton.execution import ExecutionFragment
 from repro.automaton.signature import ActionSignature
 from repro.automaton.transition import Transition
-from repro.cli import main
+from repro.cli import _sampling_run, build_parser, main
 from repro.contracts import (
     Fuel,
     GuardConfig,
@@ -77,7 +77,7 @@ from repro.proofs.verifier import (
     check_arrow_by_sampling,
     measure_time_to_target,
 )
-from repro.statespace import compile_scope, compile_space
+from repro.statespace import compile_space
 from repro.statespace.engine import TreeEngine
 
 needs_fork = pytest.mark.skipif(
@@ -376,11 +376,19 @@ class TestGuardChecks:
             compile_space(broken_automaton(), ["a"], guards=STRICT).explore()
 
     def test_the_cache_lasts_one_compile_scope(self):
+        """A sampling command is the cache's scope: an entry lasts while
+        the command runs and is gone when it ends, by error or not."""
         automaton = tiny_automaton()
         step = automaton.transitions("a")[0]
-        with compile_scope():
+        args = build_parser().parse_args(["check", "--n", "3"])
+        with _sampling_run(args):
             check_chosen_step(STRICT, automaton, self.fragment(), step)
             assert id(step) in contracts.guards._validated_transitions
+        assert contracts.guards._validated_transitions == {}
+        with pytest.raises(RuntimeError):
+            with _sampling_run(args):
+                check_chosen_step(STRICT, automaton, self.fragment(), step)
+                raise RuntimeError
         assert contracts.guards._validated_transitions == {}
 
     def test_lean_sum_matches_the_full_one(self):
@@ -906,14 +914,19 @@ class TestLintAssertBan:
         assert [at for at, m in findings if "gc.disable" in m] == [line]
         assert lint.run_ban_check([tmp_path]) == 1
 
-    def test_gc_switches_allowed_in_the_engine_and_tests(
+    def test_gc_switches_allowed_in_the_induction_and_tests(
         self, lint, tmp_path
     ):
         source = "import gc\ngc.disable()\ngc.freeze()\ngc.unfreeze()\n"
+        induction = tmp_path / "src" / "repro" / "mdp" / "bounded.py"
+        induction.parent.mkdir(parents=True)
+        induction.write_text(source)
+        assert lint.banned_handlers(induction) == []
         engine = tmp_path / "src" / "repro" / "statespace" / "engine.py"
         engine.parent.mkdir(parents=True)
         engine.write_text(source)
-        assert lint.banned_handlers(engine) == []
+        assert len(lint.banned_handlers(engine)) == 3
+        engine.unlink()
         test = tmp_path / "tests" / "test_mod.py"
         test.parent.mkdir()
         test.write_text(source)
@@ -1009,8 +1022,6 @@ class TestCLI:
         assert "audit: ok" in out
 
     def test_help_documents_contract_exit_status(self):
-        from repro.cli import build_parser
-
         text = build_parser().format_help()
         assert "exit status" in text
         assert "model-contract violation" in text

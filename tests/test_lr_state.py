@@ -42,7 +42,9 @@ class TestProcessState:
     def test_with_pc_and_with_u(self):
         local = ProcessState(PC.W, Side.LEFT)
         assert local.with_pc(PC.S) == ProcessState(PC.S, Side.LEFT)
-        assert local.with_u(Side.RIGHT) == ProcessState(PC.W, Side.RIGHT)
+        assert process_state(local.pc, Side.RIGHT) == ProcessState(
+            PC.W, Side.RIGHT
+        )
 
     def test_points_only_at_sided_counters(self):
         assert ProcessState(PC.W, Side.LEFT).points(Side.LEFT)
@@ -64,7 +66,7 @@ class TestProcessState:
             # The dataclass hash, so set and dict orders are unchanged.
             assert hash(built) == hash(shared) == hash((pc, u))
             assert repr(built) == repr(shared)
-            assert built.with_u(u) is shared
+            assert process_state(built.pc, built.u) is shared
             assert built.with_pc(pc) is shared
 
     def test_the_model_builds_shared_states(self):

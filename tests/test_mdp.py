@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -154,6 +155,39 @@ class TestRoundSynchronousRecursion:
                 automaton, view, lr.in_critical, [], 2,
                 strip_time=lambda s: s.untimed(),
             )
+
+    @pytest.mark.parametrize("collecting", (True, False))
+    def test_a_sweep_runs_no_collection(self, ring3, collecting):
+        # The memo is a heap of acyclic tuples: the sweep pauses the
+        # cyclic collector, restores its prior state and freezes nothing.
+        automaton, view = ring3
+        starts = list(lr.canonical_states(3).values())
+        paused, collections = [], []
+
+        def target(state):
+            paused.append(not gc.isenabled())
+            return lr.in_critical(state)
+
+        def watch(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        if not collecting:
+            gc.disable()
+        gc.callbacks.append(watch)
+        try:
+            min_reach_over_starts(
+                automaton, view, target, starts, 6,
+                strip_time=lambda s: s.untimed(),
+            )
+            restored = gc.isenabled()
+        finally:
+            gc.callbacks.remove(watch)
+            gc.enable()
+        assert paused and all(paused)
+        assert collections == []
+        assert restored is collecting
+        assert gc.get_freeze_count() == 0
 
     def test_long_horizon_unreachable_target(self):
         # 200 rounds nest far deeper than the interpreter's recursion

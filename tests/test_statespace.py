@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro import obs
 from repro.adversary.unit_time import (
     HALT,
     MarkovRoundPolicy,
@@ -38,6 +37,7 @@ from repro.corpus.cases import (
 )
 from repro.errors import StateBudgetExceeded, VerificationError
 from repro.models import ExperimentSetup, get_model
+from repro.parallel.seeds import rng_from_seed
 from repro.proofs.verifier import check_arrow_by_sampling
 from repro.service import JobSpec
 from repro.statespace import (
@@ -47,7 +47,6 @@ from repro.statespace import (
     TreeEngine,
     build_engine,
     compile_adversary,
-    compile_scope,
     compile_space,
     resolve_engine_name,
 )
@@ -110,7 +109,6 @@ class TestGoldenCounts:
             for step in steps:
                 total = sum(step.weights, Fraction(0))
                 assert total == 1
-                assert step.cum[-1] == pytest.approx(1.0)
 
 
 class TestCompileUnit:
@@ -167,9 +165,10 @@ class TestEngineSelection:
             )
 
     def test_batched_with_tiny_budget_raises(self, setup3, statement):
+        # The budget cannot hold the six canonical starts.
         with pytest.raises(StateBudgetExceeded):
             engine_for(
-                setup3, statement, engine="batched", state_budget=10
+                setup3, statement, engine="batched", state_budget=2
             )
 
     def test_auto_with_fuel_falls_back_to_tree(self, setup3, statement):
@@ -179,26 +178,38 @@ class TestEngineSelection:
 
     def test_auto_with_tiny_budget_falls_back_to_tree(self, setup3, statement):
         engine = engine_for(
-            setup3, statement, engine="auto", state_budget=10
+            setup3, statement, engine="auto", state_budget=2
         )
         assert type(engine) is TreeEngine
 
     def test_identity_spec_blows_budget_on_timed_states(self, setup3, statement):
         # Without the untimed quotient the clock makes the space
-        # unbounded; auto must notice and walk the tree instead.
-        engine = build_engine(
-            setup3.automaton,
-            setup3.adversaries,
-            tuple(lr.canonical_states(3).values()),
-            statement.target.contains,
-            lr.lr_time_of,
-            statement.time_bound,
-            200,
-            engine="auto",
-            state_budget=20_000,
-            guards=OFF_CONFIG,
+        # unbounded.  Sampling needs no table, but an exact value's
+        # table blows the budget: auto takes the tree's exact walk
+        # instead, and batched raises.
+        def identity(engine):
+            return build_engine(
+                setup3.automaton,
+                setup3.adversaries,
+                tuple(lr.canonical_states(3).values()),
+                statement.target.contains,
+                lr.lr_time_of,
+                statement.time_bound,
+                200,
+                engine=engine,
+                state_budget=2_000,
+                guards=OFF_CONFIG,
+            )
+
+        fifo = [name for name, _ in setup3.adversaries].index("fifo")
+        auto = identity("auto")
+        assert type(auto) is BatchedEngine
+        assert auto.exact_reach(fifo, 0, 4) == auto.tree.exact_reach(
+            fifo, 0, 4
         )
-        assert type(engine) is TreeEngine
+        assert auto._tables[fifo] is None
+        with pytest.raises(StateBudgetExceeded):
+            identity("batched").exact_reach(fifo, 0, 4)
 
 
 @pytest.fixture
@@ -267,22 +278,8 @@ def _live_spaces():
 
 
 class TestCompileScope:
-    """One command's checks share one compiled space (the reuse rule in
-    ``docs/statespace.md``); nothing outlives the command."""
-
-    def test_checks_in_a_scope_share_the_space(
-        self, setup3, statement, compiles
-    ):
-        with obs.recording() as registry, compile_scope():
-            first = engine_for(setup3, statement, engine="batched")
-            second = engine_for(setup3, statement, engine="auto")
-        assert len(compiles) == 1
-        assert type(second) is BatchedEngine
-        assert first.tables[0].space is second.tables[0].space
-        assert first.tables[0] is not second.tables[0]
-        metrics = registry.metrics
-        assert metrics.counters["statespace.compile_reuses"].value == 1
-        assert metrics.histograms["statespace.compile_ms"].count == 1
+    """Each check compiles a space of its own starts, and nothing
+    outlives the command."""
 
     def test_without_a_scope_every_check_compiles(
         self, setup3, statement, compiles
@@ -295,55 +292,37 @@ class TestCompileScope:
         self, setup3, statement, compiles
     ):
         warn = GuardConfig(mode=WARN).validate()
-        with compile_scope():
-            engine_for(setup3, statement, engine="batched")
-            engine_for(setup3, statement, engine="batched", guards=warn)
+        spaces = [
+            engine_for(setup3, statement, engine="batched").space,
+            engine_for(
+                setup3, statement, engine="batched", guards=warn
+            ).space,
             engine_for(
                 setup3, statement, engine="batched", guards=warn,
                 state_budget=150_000,
-            )
-            engine_for(
-                setup3, statement, engine="batched", guards=warn,
-                state_budget=150_000,
-            )
+            ).space,
+        ]
         assert len(compiles) == 3
-
-    def test_an_uncovered_start_grows_the_space(
-        self, deterministic_chain, compiles
-    ):
-        with compile_scope():
-            space = _chain_engine(deterministic_chain, (1,)).tables[0].space
-            assert space.reps == [1, 2, 3]
-            _chain_engine(deterministic_chain, (2,))  # already interned
-            assert space.reps == [1, 2, 3]
-            grown = _chain_engine(deterministic_chain, (0,))  # a new root
-            assert grown.tables[0].space is space
-            assert space.reps == [1, 2, 3, 0]
-            assert grown.tables[0].node_state[0] == 3
-        assert compiles == [(1,)]
+        assert [(space.guards, space.max_states) for space in spaces] == [
+            (OFF_CONFIG, 200_000), (warn, 200_000), (warn, 150_000),
+        ]
 
     def test_a_failed_compile_is_retried_and_not_kept(
         self, deterministic_chain, compiles
     ):
-        with compile_scope():
-            _chain_engine(deterministic_chain, (0,))
-            with pytest.raises(StateBudgetExceeded):
-                _chain_engine(deterministic_chain, (0,), state_budget=2)
-            with pytest.raises(StateBudgetExceeded):
-                _chain_engine(deterministic_chain, (0,), state_budget=2)
-            # The miss dropped the first space before compiling.
-            _chain_engine(deterministic_chain, (0,))
-            _chain_engine(deterministic_chain, (0,))
-        assert compiles == [(0,)] * 4
+        with pytest.raises(StateBudgetExceeded):
+            _chain_engine(deterministic_chain, (0, 1, 2), state_budget=2)
+        engine = _chain_engine(deterministic_chain, (0, 1, 2))
+        assert engine.space.reps == [0, 1, 2]
+        assert compiles == [(0, 1, 2)] * 2
 
-    def test_trace_counts_one_compile_and_five_reuses(self, capsys):
+    def test_trace_counts_one_compile_per_check(self, capsys):
         assert main([
             "trace", "verify", "--model", "lr", "--n", "3",
             "--engine", "batched", "--samples", "4",
         ]) == 0
         rows = _statespace_rows(capsys.readouterr().out)
-        assert rows["statespace.compile_reuses"] == ["5"]
-        assert rows["statespace.compile_ms"][0] == "1"
+        assert rows["statespace.compile_ms"][0] == "6"
 
     def test_no_space_outlives_the_command(self, capsys):
         before = _live_spaces()
@@ -352,7 +331,6 @@ class TestCompileScope:
             "--no-manifest",
         ]) == 0
         capsys.readouterr()
-        assert engine_module._scope is None
         # gc.get_objects() skips frozen objects: a frozen space would
         # pass the count below unseen.
         assert gc.get_freeze_count() == 0
@@ -368,49 +346,7 @@ class TestCompileScope:
 
 
 class TestCompileCollector:
-    """A scoped compile runs outside the cyclic collector and stays
-    frozen out of it until the scope closes; nothing else changes."""
-
-    def test_a_scoped_compile_runs_no_collection(
-        self, setup3, statement, monkeypatch
-    ):
-        # The space compiles its roots, and the adversary tables
-        # tabulate what they reach: both run with the collector paused.
-        compiling, collecting, collections = [False], [], []
-
-        def paused(compile):
-            def run(*args, **kwargs):
-                compiling[0] = True
-                collecting.append(gc.isenabled())
-                try:
-                    return compile(*args, **kwargs)
-                finally:
-                    compiling[0] = False
-
-            return run
-
-        def watch(phase, info):
-            if phase == "start" and compiling[0]:
-                collections.append(info["generation"])
-
-        monkeypatch.setattr(
-            engine_module, "compile_space", paused(compile_space)
-        )
-        monkeypatch.setattr(
-            engine_module, "compile_adversary", paused(compile_adversary)
-        )
-        gc.callbacks.append(watch)
-        try:
-            with compile_scope():
-                engine = engine_for(setup3, statement, engine="batched")
-                assert type(engine) is BatchedEngine
-                assert gc.get_freeze_count() > 0
-        finally:
-            gc.callbacks.remove(watch)
-        assert collecting == [False] * (1 + len(setup3.adversaries))
-        assert collections == []
-        assert gc.get_freeze_count() == 0
-        assert gc.isenabled()
+    """Building an engine leaves the cyclic collector as it found it."""
 
     def test_a_compile_outside_a_scope_is_unchanged(
         self, setup3, statement
@@ -441,16 +377,15 @@ class TestCompileCollector:
         if not collecting:
             gc.disable()
         try:
-            with compile_scope():
-                engine = _chain_engine(
-                    deterministic_chain, (0,), spec=SpaceSpec(key=Key),
-                    state_budget=2, engine="auto",
-                )
-                assert type(engine) is TreeEngine
-                assert gc.get_freeze_count() == 0
-                assert gc.isenabled() is collecting
-                # Reference counting freed the partial space already.
-                assert keys and all(ref() is None for ref in keys)
+            engine = _chain_engine(
+                deterministic_chain, (0, 1, 2), spec=SpaceSpec(key=Key),
+                state_budget=2, engine="auto",
+            )
+            assert type(engine) is TreeEngine
+            assert gc.get_freeze_count() == 0
+            assert gc.isenabled() is collecting
+            # Reference counting freed the partial space already.
+            assert keys and all(ref() is None for ref in keys)
         finally:
             gc.enable()
 
@@ -463,15 +398,23 @@ class _Idle(MarkovRoundPolicy):
 
 
 class TestDemandDrivenCompile:
-    """A check tabulates only the classes its adversary tables reach;
-    :meth:`CompiledSpace.explore` still reaches the golden space."""
+    """Sampling tabulates nothing, and an exact value only the classes
+    its adversary table reaches; :meth:`CompiledSpace.explore` still
+    reaches the golden space."""
 
     def test_only_what_the_tables_reach_is_tabulated(
         self, setup3, statement
     ):
         engine = engine_for(setup3, statement, engine="batched")
-        tables = [table for table in engine.tables if table is not None]
-        space = tables[0].space
+        space = engine.space
+        engine.sample(0, 0, rng_from_seed(0))
+        assert not any(space.steps)
+        for adversary_index in range(len(engine.adversaries)):
+            engine.exact_reach(adversary_index, 0, 2)
+        tables = [
+            table for table in engine._tables.values() if table is not None
+        ]
+        assert tables and all(table.space is space for table in tables)
         visited = {state for table in tables for state in table.node_state}
         chosen = {
             table.node_state[node]
@@ -522,8 +465,8 @@ class TestDemandDrivenCompile:
             engine="batched", guards=strict,
         )
         assert type(engine) is BatchedEngine
-        assert engine.tables[0] is None  # reaches the broken step
-        assert engine.tables[1] is not None
+        assert engine._table_for(0) is None  # reaches the broken step
+        assert engine._table_for(1) is not None
         reports = {
             name: check_arrow_by_sampling(
                 broken_automaton(), TINY_STATEMENT, adversaries, ["a"],
@@ -563,8 +506,10 @@ class TestDemandDrivenCompile:
         ]) == 0
         rows = _statespace_rows(capsys.readouterr().out)
         [space] = spaces
-        assert int(rows["statespace.states"][0]) == space.n_states < 4338
-        assert int(rows["statespace.transitions"][0]) == space.n_transitions
+        # The check's starts, and nothing tabulated.
+        assert int(rows["statespace.states"][0]) == space.n_states
+        assert space.n_states == len(space.reps) and not any(space.steps)
+        assert "statespace.transitions" not in rows
 
 
 class TestReportEquivalence:

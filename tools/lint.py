@@ -45,9 +45,9 @@ library runs on the standard library alone.
 The cyclic collector's process-wide switches (``gc.disable``,
 ``gc.enable``, ``gc.freeze``, ``gc.unfreeze`` and ``gc.set_threshold``,
 called or imported from ``gc``) are forbidden under ``src/`` outside
-``repro/statespace/engine.py``: the compile scope pauses the collector
-around a command's space compile and freezes what it built until the
-command ends (``docs/statespace.md``), so collector state has one owner
+``repro/mdp/bounded.py``: the round-synchronous induction pauses the
+collector while it fills its memo and restores the prior state when it
+returns (``docs/statespace.md``), so collector state has one owner
 that restores it instead of scattered toggles that leak past a command.
 
 Nothing under ``src/repro/mdp/`` may import ``repro.statespace``: the
@@ -262,8 +262,8 @@ def _imports_numpy(node):
 _GC_SWITCHES = ("disable", "enable", "freeze", "unfreeze", "set_threshold")
 
 
-def _is_engine_module(path):
-    return Path(path).parts[-3:] == ("repro", "statespace", "engine.py")
+def _is_collector_module(path):
+    return Path(path).parts[-3:] == ("repro", "mdp", "bounded.py")
 
 
 def _switches_gc(node):
@@ -393,15 +393,15 @@ def banned_handlers(path):
                      "torn-tail-repairing append discipline backs "
                      "crash recovery")
                 )
-    if not _is_engine_module(path):
+    if not _is_collector_module(path):
         for node in ast.walk(tree):
             if _switches_gc(node):
                 findings.append(
                     (node.lineno,
                      "collector switches (gc.disable/enable/freeze/"
                      "unfreeze/set_threshold) belong to "
-                     "repro.statespace.engine's compile scope, which "
-                     "restores them when the command ends")
+                     "repro.mdp.bounded's induction, which restores "
+                     "them when it returns")
                 )
     for node in ast.walk(tree):
         if _imports_numpy(node):
